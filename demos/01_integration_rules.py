@@ -6,7 +6,7 @@ uses, and verifies the Gaussian moments each rule reproduces exactly.
 
 import numpy as np
 
-from srcf import IntegrationScheme, RngStream, build_rule, reported_eval_count
+from srcf import IntegrationScheme, RngStream, draw_rule_batch, reported_eval_count
 
 rng = RngStream(2024)
 n = 4
@@ -25,14 +25,14 @@ schemes = [
 ]
 
 for scheme in schemes:
-    ps = build_rule(scheme, n, rng.substream(scheme.label))
-    w, c = ps.weights, ps.points
+    points, weights = draw_rule_batch(scheme, n, 1, rng.substream(scheme.label))
+    w, c = weights[0], points[0]
     mean_err = np.abs(w @ c).max()
     cov_err = np.abs(np.einsum("p,pi,pj->ij", w, c, c) - np.eye(n)).max()
     x4 = w @ c[:, 0] ** 4  # E[c1^4] = 3 for degree-5 rules
     print(
         f"{scheme.label:6s} stored points {c.shape[0]:4d}  "
-        f"operating count {ps.eval_count:4d}  "
+        f"operating count {reported_eval_count(scheme, n):4d}  "
         f"sum(w)-1 {abs(w.sum() - 1):.1e}  |mean| {mean_err:.1e}  "
         f"|cov-I| {cov_err:.1e}  E[c1^4] {x4:8.4f}"
     )
@@ -45,8 +45,9 @@ print("is only right on average.")
 print()
 print("Weights of one SIF5 draw vary with the sampled radii:")
 for draw in range(3):
-    ps = build_rule(IntegrationScheme.from_label("sif5"), n, rng)
+    _, weights = draw_rule_batch(IntegrationScheme.from_label("sif5"), n, 1, rng)
+    w = weights[0]
     print(
-        f"  draw {draw}: center weight {ps.weights[0]:+.4f}, "
-        f"min/max shell weight {ps.weights[1:].min():+.5f}/{ps.weights[1:].max():+.5f}"
+        f"  draw {draw}: center weight {w[0]:+.4f}, "
+        f"min/max shell weight {w[1:].min():+.5f}/{w[1:].max():+.5f}"
     )

@@ -29,15 +29,21 @@ from .filtering import (
     predict_state,
     run_filter,
 )
-from .integrate import GaussianBelief, IntegrandError, VectorFunction, expect, expect_batch
-from .linalg import haar_orthogonal, spd_sqrt
+from .integrate import (
+    GaussianBelief,
+    IntegrandError,
+    VectorFunction,
+    expect,
+    expect_batch,
+    sigma_points,
+)
+from .linalg import spd_sqrt
 from .rng import RngStream
 from .rules import (
     IntegrationScheme,
     SchemeKind,
-    SigmaPointSet,
     SimplexBasis,
-    build_rule,
+    draw_rule_batch,
     gaussian_monomial_moment,
     radial_weights_deg3,
     radial_weights_deg5,
@@ -47,40 +53,30 @@ from .rules import (
     simplex_vertices,
     spherical_weights_deg5,
 )
-from .samplers import (
-    RadialNodes,
-    sample_beta,
-    sample_chi,
-    sample_radial_pair,
-    sample_radial_single,
-)
+from .samplers import sample_beta, sample_chi
 
 __all__ = [
     "__version__",
     "RngStream",
     "spd_sqrt",
-    "haar_orthogonal",
-    "RadialNodes",
     "sample_chi",
     "sample_beta",
-    "sample_radial_single",
-    "sample_radial_pair",
     "SchemeKind",
     "IntegrationScheme",
     "SimplexBasis",
-    "SigmaPointSet",
     "radial_weights_deg5",
     "radial_weights_deg3",
     "simplex_vertices",
     "simplex_midpoints",
     "simplex_basis",
     "spherical_weights_deg5",
-    "build_rule",
+    "draw_rule_batch",
     "reported_eval_count",
     "gaussian_monomial_moment",
     "GaussianBelief",
     "VectorFunction",
     "IntegrandError",
+    "sigma_points",
     "expect",
     "expect_batch",
     "StateSpaceModel",

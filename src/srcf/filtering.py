@@ -19,7 +19,7 @@ from .integrate import (
     VectorFunction,
     _as_vector_function,
     _evaluate,
-    expect_batch,
+    sigma_points,
 )
 from .linalg import symmetrize
 from .rng import RngStream
@@ -93,32 +93,27 @@ class PredictedObservation:
             self.pxy = self.pxy[:, None]
 
 
-class _StackedEval:
-    """Evaluate a model function once per sigma-point stack, normalized to 2-D.
+def _model_values(fn: VectorFunction, x: np.ndarray, out_dim: int, name: str) -> np.ndarray:
+    """Evaluate a model function on a (P, n) point stack, normalized to (P, out_dim)."""
+    vals = _evaluate(fn, x)
+    if vals.ndim == 1:
+        vals = vals[:, None]
+    if vals.ndim != 2 or vals.shape[1] != out_dim:
+        raise ValueError(
+            f"{name} must map to {out_dim} components, got output shape {vals.shape[1:]}"
+        )
+    return vals
 
-    The same stack feeds several moment integrands within one prediction
-    step; caching on the stack's identity avoids re-evaluating the model.
+
+def _centred_moments(vals: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted mean and centred Gram matrix sum_p w_p (v_p - mean)(v_p - mean)^T.
+
+    With weights summing to one this equals E[v v^T] - mean mean^T, but
+    does not cancel two large numbers when the mean dwarfs the spread.
     """
-
-    def __init__(self, fn: VectorFunction, out_dim: int, name: str):
-        self.fn = fn
-        self.out_dim = out_dim
-        self.name = name
-        self._last: tuple | None = None
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        if self._last is not None and self._last[0] is x:
-            return self._last[1]
-        vals = _evaluate(self.fn, x)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        if vals.ndim != 2 or vals.shape[1] != self.out_dim:
-            raise ValueError(
-                f"{self.name} must map to {self.out_dim} components, "
-                f"got output shape {vals.shape[1:]}"
-            )
-        self._last = (x, vals)
-        return vals
+    mean = w @ vals
+    dev = vals - mean
+    return mean, symmetrize((dev.T * w) @ dev)
 
 
 def _require_finite(step_name: str, **arrays) -> None:
@@ -127,22 +122,20 @@ def _require_finite(step_name: str, **arrays) -> None:
             raise DivergenceError(f"{step_name} produced non-finite {name}")
 
 
-def _observation_estimate_usable(sxx, pxy, pyy_raw) -> bool:
+def _observation_estimate_usable(joint: np.ndarray) -> bool:
     """Decide whether the joint (state, observation) moment estimate is real.
 
-    All three blocks come from the same rule draws, so the joint second
-    central moment [[Sxx, Pxy], [Pxy^T, Pyy - R]] is a weighted Gram matrix:
-    PSD by construction whenever the weights are non-negative (the bound
-    that keeps the Kalman gain contractive).  Rules with negative weights
-    can break it on violently nonlinear observations -- e.g. a cross
-    covariance orders of magnitude beyond what the observation variance
-    supports -- and applying the usual gain to such an estimate throws the
-    state far from any plausible value.  A meaningfully indefinite joint
-    therefore marks the whole observation estimate as integration noise.
-    The check runs in a diagonally balanced scale because Pyy can dwarf Sxx
-    by tens of orders of magnitude.
+    ``joint`` is the centred weighted Gram matrix [[Sxx, Pxy], [Pxy^T,
+    Pyy - R]] of the stacked points [x, h(x)]: PSD by construction whenever
+    the weights are non-negative (the bound that keeps the Kalman gain
+    contractive).  Rules with negative weights can break it on violently
+    nonlinear observations -- e.g. a cross covariance orders of magnitude
+    beyond what the observation variance supports -- and applying the usual
+    gain to such an estimate throws the state far from any plausible value.
+    A meaningfully indefinite joint therefore marks the whole observation
+    estimate as integration noise.  The check runs in a diagonally balanced
+    scale because Pyy can dwarf Sxx by tens of orders of magnitude.
     """
-    joint = symmetrize(np.block([[sxx, pxy], [pxy.T, pyy_raw]]))
     d = np.sqrt(np.maximum(np.abs(np.diag(joint)), np.finfo(np.float64).tiny))
     w = np.linalg.eigvalsh(joint / np.outer(d, d))
     return w.min() >= -1e-8 * max(w.max(), 1.0)
@@ -162,17 +155,14 @@ def predict_state(
 ) -> GaussianBelief:
     """Time update: propagate the belief through the transition function.
 
-    mean = E[f(x)], cov = E[f(x) f(x)^T] + Q - mean mean^T, with both
-    expectations taken on shared rule draws so the implied covariance stays
-    consistent.
+    mean = E[f(x)], cov = E[(f(x) - mean)(f(x) - mean)^T] + Q, both taken
+    from one evaluation of f on one set of sigma points.
     """
     if prior.dim != model.n:
         raise ValueError(f"prior dimension {prior.dim} != model state dimension {model.n}")
-    fe = _StackedEval(model.f, model.n, "transition function")
-    f1 = VectorFunction(fe, vectorized=True)
-    f2 = VectorFunction(lambda x: np.einsum("pi,pj->pij", fe(x), fe(x)), vectorized=True)
-    mean, second = expect_batch([f1, f2], prior, scheme, rng)
-    cov = symmetrize(second + model.q - np.outer(mean, mean))
+    x, w = sigma_points(prior, scheme, rng)
+    mean, cov = _centred_moments(_model_values(model.f, x, model.n, "transition function"), w)
+    cov = cov + model.q
     _require_finite("state prediction", mean=mean, cov=cov)
     return GaussianBelief(mean=mean, cov=cov)
 
@@ -185,36 +175,27 @@ def predict_observation(
 ) -> PredictedObservation:
     """Observation update moments on a fresh set of rule draws.
 
-    y_hat = E[h], Pxy = E[x h^T] - mean y_hat^T, Pyy = E[h h^T] - y_hat y_hat^T + R.
+    h is evaluated once on the sigma points x, and the centred weighted Gram
+    matrix of the stacked points [x, h(x)] gives Sxx, Pxy and Pyy - R at
+    once: y_hat = E[h], Pxy = E[(x - x_bar)(h - y_hat)^T] with x_bar the
+    drawn mean of x (equal to the predicted mean for polynomial-exact
+    rules), Pyy = E[(h - y_hat)(h - y_hat)^T] + R.
 
-    When the joint (state, observation) moment estimate is meaningfully
-    indefinite -- impossible for a true covariance, so a sign the rule's
-    integration noise has swamped the observation moments -- the
-    observation is marked uninformative: Pxy is zeroed (the correction then
-    has zero gain) and Pyy keeps its magnitude but is forced PSD.  Valid
-    estimates pass through bitwise untouched.
+    When that joint matrix is meaningfully indefinite -- impossible for a
+    true covariance, so a sign the rule's integration noise has swamped the
+    observation moments -- the observation is marked uninformative: Pxy is
+    zeroed (the correction then has zero gain) and Pyy keeps its magnitude
+    but is forced PSD.  Valid estimates pass through bitwise untouched.
     """
     if pred.dim != model.n:
         raise ValueError(f"belief dimension {pred.dim} != model state dimension {model.n}")
-    he = _StackedEval(model.h, model.m, "observation function")
-    h1 = VectorFunction(he, vectorized=True)
-    h2 = VectorFunction(lambda x: np.einsum("pi,pj->pij", x, he(x)), vectorized=True)
-    h3 = VectorFunction(lambda x: np.einsum("pi,pj->pij", he(x), he(x)), vectorized=True)
-    # identity and E[x x^T] from the same draws close the joint moment
-    # matrix the usability check needs
-    h4 = VectorFunction(lambda x: x, vectorized=True)
-    h5 = VectorFunction(lambda x: np.einsum("pi,pj->pij", x, x), vectorized=True)
-    y_hat, xh, hh, x_bar, xx = expect_batch([h1, h2, h3, h4, h5], pred, scheme, rng)
-    pxy = xh - np.outer(pred.mean, y_hat)
-    pyy_raw = symmetrize(hh - np.outer(y_hat, y_hat))
-    _require_finite("observation prediction", y_hat=y_hat, pxy=pxy, pyy=pyy_raw)
-    # the check centers every block at the drawn means (x_bar equals the
-    # predicted mean for polynomial-exact rules but not for Monte-Carlo)
-    if not _observation_estimate_usable(
-        symmetrize(xx - np.outer(x_bar, x_bar)),
-        xh - np.outer(x_bar, y_hat),
-        pyy_raw,
-    ):
+    n = model.n
+    x, w = sigma_points(pred, scheme, rng)
+    h = _model_values(model.h, x, model.m, "observation function")
+    mean, joint = _centred_moments(np.hstack([x, h]), w)
+    _require_finite("observation prediction", y_hat=mean, joint_moments=joint)
+    y_hat, pxy, pyy_raw = mean[n:], joint[:n, n:], joint[n:, n:]
+    if not _observation_estimate_usable(joint):
         pxy = np.zeros_like(pxy)
         pyy_raw = _psd_magnitude(pyy_raw)
     pyy = symmetrize(pyy_raw + model.r)

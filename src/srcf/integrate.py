@@ -3,7 +3,9 @@
 The integral is pulled back to standard-normal coordinates through the
 affine transform x = mean + L c with L a square root of cov, evaluated on a
 rule draw from :mod:`srcf.rules`, and averaged over the scheme's repetition
-count.  Batched evaluation (`expect_batch`) reuses the same draws for every
+count.  `sigma_points` returns those points with the repetition average
+folded into one weight vector; every estimate is a weighted sum over them.
+Batched evaluation (`expect_batch`) reuses the same draws for every
 function, which keeps derived covariances internally consistent.
 """
 
@@ -18,7 +20,14 @@ from .linalg import spd_sqrt, symmetrize
 from .rng import RngStream
 from .rules import IntegrationScheme, draw_rule_batch
 
-__all__ = ["GaussianBelief", "VectorFunction", "IntegrandError", "expect", "expect_batch"]
+__all__ = [
+    "GaussianBelief",
+    "VectorFunction",
+    "IntegrandError",
+    "sigma_points",
+    "expect",
+    "expect_batch",
+]
 
 
 class IntegrandError(ValueError):
@@ -102,6 +111,31 @@ def _evaluate(f: VectorFunction, x: np.ndarray) -> np.ndarray:
     return vals
 
 
+def sigma_points(
+    belief: GaussianBelief,
+    scheme: IntegrationScheme,
+    rng: RngStream,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The state-space points and weights of one integral under the belief.
+
+    Takes one square root of the covariance and one batch of ``scheme.n_m``
+    rule draws, maps every draw's points through x = mean + L c and stacks
+    them; the repetition average is folded into the weights.
+
+    Returns
+    -------
+    x : (n_m * P, n) array
+    w : (n_m * P,) array
+        Sums to one, so E[f(x)] is estimated by ``w @ f(x)``.
+    """
+    n = belief.dim
+    scheme.validate_dim(n)
+    root = spd_sqrt(belief.cov)
+    points, weights = draw_rule_batch(scheme, n, scheme.n_m, rng)
+    x = belief.mean + points.reshape(-1, n) @ root.T
+    return x, weights.reshape(-1) / scheme.n_m
+
+
 def expect_batch(
     fns,
     belief: GaussianBelief,
@@ -112,25 +146,18 @@ def expect_batch(
 
     All functions see the same sigma points (same radii and rotation per
     repetition), so moment combinations such as E[f f^T] - E[f] E[f]^T stay
-    consistent.  Repetition results are averaged in index order.
+    consistent.
 
     Returns
     -------
     list of arrays, one per function, each with the function's output shape.
     """
     fns = [_as_vector_function(f) for f in fns]
-    n = belief.dim
-    scheme.validate_dim(n)
-    root = spd_sqrt(belief.cov)  # computed once per call
-    points, weights = draw_rule_batch(scheme, n, scheme.n_m, rng)
-    n_m, n_pts, _ = points.shape
-    x = belief.mean + points.reshape(-1, n) @ root.T
+    x, w = sigma_points(belief, scheme, rng)
     out = []
     for f in fns:
         vals = _evaluate(f, x)
-        vals = vals.reshape(n_m, n_pts, *vals.shape[1:])
-        per_rep = np.einsum("lp,lp...->l...", weights, vals)
-        out.append(per_rep.mean(axis=0))
+        out.append((w @ vals.reshape(w.shape[0], -1)).reshape(vals.shape[1:]))
     return out
 
 

@@ -6,7 +6,7 @@ import numpy as np
 
 from .rng import RngStream
 
-__all__ = ["spd_sqrt", "haar_orthogonal", "haar_orthogonal_batch", "symmetrize"]
+__all__ = ["spd_sqrt", "haar_orthogonal_batch", "symmetrize"]
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -82,8 +82,3 @@ def haar_orthogonal_batch(n: int, size: int, rng: RngStream) -> np.ndarray:
     d = np.einsum("...ii->...i", r)
     ph = np.sign(d) + (d == 0)  # zero diagonal has probability zero
     return q * ph[:, None, :]
-
-
-def haar_orthogonal(n: int, rng: RngStream) -> np.ndarray:
-    """Draw one Haar-uniform n x n orthogonal matrix."""
-    return haar_orthogonal_batch(n, 1, rng)[0]

@@ -30,20 +30,18 @@ import numpy as np
 
 from .linalg import haar_orthogonal_batch
 from .rng import RngStream
-from .samplers import RadialNodes, _radial_pair_batch, sample_chi
+from .samplers import _radial_pair_batch, sample_chi
 
 __all__ = [
     "SchemeKind",
     "IntegrationScheme",
     "SimplexBasis",
-    "SigmaPointSet",
     "radial_weights_deg5",
     "radial_weights_deg3",
     "simplex_vertices",
     "simplex_midpoints",
     "simplex_basis",
     "spherical_weights_deg5",
-    "build_rule",
     "draw_rule_batch",
     "reported_eval_count",
     "gaussian_monomial_moment",
@@ -142,32 +140,7 @@ class SimplexBasis:
     midpoints: np.ndarray  # (n(n+1)/2, n), unit rows
 
 
-@dataclass(frozen=True)
-class SigmaPointSet:
-    """One realized rule draw: points in standard-normal coordinates.
-
-    ``points[i]`` carries probability weight ``weights[i]``; the weights sum
-    to one.  ``eval_count`` is the draw's operating point count as reported
-    by the benchmarks, which for the symmetrized fifth-degree stochastic rule
-    counts each +-pair once (see :func:`reported_eval_count`).
-    """
-
-    points: np.ndarray  # (P, n)
-    weights: np.ndarray  # (P,)
-    eval_count: int
-
-    def __post_init__(self):
-        if self.points.ndim != 2 or self.weights.ndim != 1:
-            raise ValueError("points must be (P, n) and weights (P,)")
-        if self.points.shape[0] != self.weights.shape[0]:
-            raise ValueError("points and weights length mismatch")
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-
-def radial_weights_deg5(n: int, nodes: RadialNodes) -> tuple[float, float, float]:
+def radial_weights_deg5(n: int, rho1, rho2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Normalized weights of the three-node fifth-degree radial rule.
 
     Lagrange interpolation in u = r^2 on the nodes {0, rho1^2, rho2^2}
@@ -178,15 +151,16 @@ def radial_weights_deg5(n: int, nodes: RadialNodes) -> tuple[float, float, float
         w1 = n (n + 2 - rho2^2) / (rho1^2 (rho1^2 - rho2^2))
         w2 = n (n + 2 - rho1^2) / (rho2^2 (rho2^2 - rho1^2))
 
-    which sum to one for any node pair; w1, w2 may be negative.
+    which sum to one for any node pair; w1, w2 may be negative.  Elementwise
+    over arrays of node pairs.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    if not nodes.is_pair:
-        raise ValueError("fifth-degree radial weights need a node pair")
-    r1sq = nodes.rho1 * nodes.rho1
-    r2sq = nodes.rho2 * nodes.rho2
-    if r1sq == 0.0 or r2sq == 0.0 or r1sq == r2sq:
+    rho1 = np.asarray(rho1, dtype=np.float64)
+    rho2 = np.asarray(rho2, dtype=np.float64)
+    r1sq = rho1 * rho1
+    r2sq = rho2 * rho2
+    if np.any(r1sq == 0.0) or np.any(r2sq == 0.0) or np.any(r1sq == r2sq):
         raise ValueError("radial nodes must be distinct and nonzero")
     w0 = 1.0 - n * (r1sq + r2sq - (n + 2.0)) / (r1sq * r2sq)
     w1 = n * (n + 2.0 - r2sq) / (r1sq * (r1sq - r2sq))
@@ -194,15 +168,18 @@ def radial_weights_deg5(n: int, nodes: RadialNodes) -> tuple[float, float, float
     return w0, w1, w2
 
 
-def radial_weights_deg3(n: int, rho: float) -> tuple[float, float]:
+def radial_weights_deg3(n: int, rho) -> tuple[np.ndarray, np.ndarray]:
     """Normalized weights of the two-node third-degree radial rule.
 
     Matching the Gaussian second radial moment E[r^2] = n gives
-    w1 = n / rho^2 with the remainder on the center node.
+    w1 = n / rho^2 with the remainder on the center node.  At rho^2 = n + 2
+    the fourth moment n(n+2) is matched too, which is the CKF5 radial rule.
+    Elementwise over arrays of radii.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    if not (rho > 0.0):
+    rho = np.asarray(rho, dtype=np.float64)
+    if not np.all(rho > 0.0):
         raise ValueError("radius must be positive")
     w1 = n / (rho * rho)
     return 1.0 - w1, w1
@@ -283,10 +260,39 @@ def spherical_weights_deg5(n: int) -> tuple[float, float]:
     return wa, wb
 
 
-def _assemble(blocks, wcols, b):
-    points = np.concatenate(blocks, axis=1)
-    weights = np.concatenate([np.broadcast_to(w, (b, size)) for w, size in wcols], axis=1)
-    return points, np.ascontiguousarray(weights)
+@lru_cache(maxsize=None)
+def _simplex_directions(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Directions of the degree-5 surface rule (vertices, then midpoints)
+    with the weight of each of their +- points."""
+    basis = simplex_basis(n)
+    wa, wb = spherical_weights_deg5(n)
+    dirs = np.concatenate([basis.vertices, basis.midpoints])
+    weights = np.repeat([wa, wb], [basis.vertices.shape[0], basis.midpoints.shape[0]])
+    dirs.setflags(write=False)
+    weights.setflags(write=False)
+    return dirs, weights
+
+
+def _symmetric_rule(dirs, sphere_w, radii, center_w, radial_w):
+    """Centre plus +-r d for every radius r and direction d, with product weights.
+
+    ``dirs`` is (D, n), or (size, D, n) for per-draw rotated directions, and
+    ``sphere_w`` (D,) the weight of each +-direction point on the sphere.
+    ``radii`` and ``radial_w`` are (size, K); ``center_w`` is (size,).
+    Points are laid out as the centre, then for each radius +r dirs and
+    -r dirs.
+    """
+    size, k = radii.shape
+    d, n = dirs.shape[-2:]
+    points = np.empty((size, 1 + 2 * k * d, n))
+    points[:, 0] = 0.0
+    shell = points[:, 1:].reshape(size, k, 2, d, n)
+    np.multiply(radii[:, :, None, None], dirs[..., None, :, :], out=shell[:, :, 0])
+    np.negative(shell[:, :, 0], out=shell[:, :, 1])
+    weights = np.empty((size, 1 + 2 * k * d))
+    weights[:, 0] = center_w
+    weights[:, 1:].reshape(size, k, 2, d)[:] = (radial_w[:, :, None] * sphere_w)[:, :, None]
+    return points, weights
 
 
 def draw_rule_batch(
@@ -329,100 +335,29 @@ def draw_rule_batch(
     if kind is SchemeKind.SIF3:
         rho = sample_chi(n + 2, rng, size=size)
         q = haar_orthogonal_batch(n, size, rng)
-        w1 = n / (rho * rho)
-        w0 = 1.0 - w1
-        axes = np.swapaxes(q, 1, 2)  # rows are the columns Q e_i
-        r = rho.reshape(size, 1, 1)
-        blocks = [np.zeros((size, 1, n)), r * axes, -r * axes]
-        wcols = [
-            (w0.reshape(size, 1), 1),
-            (w1.reshape(size, 1) / (2 * n), n),
-            (w1.reshape(size, 1) / (2 * n), n),
-        ]
-        return _assemble(blocks, wcols, size)
+        w0, w1 = radial_weights_deg3(n, rho)
+        # the random axes Q e_i are the rows of Q^T
+        axes = np.swapaxes(q, 1, 2)
+        return _symmetric_rule(axes, np.full(n, 1.0 / (2 * n)), rho[:, None], w0, w1[:, None])
 
     # Fifth-degree family: simplex surface rule composed with a radial rule.
-    basis = simplex_basis(n)
-    wa, wb = spherical_weights_deg5(n)
-    n_vert = basis.vertices.shape[0]
-    n_mid = basis.midpoints.shape[0]
-
-    if kind in (SchemeKind.CKF5, SchemeKind.QSIF5):
+    dirs, sphere_w = _simplex_directions(n)
+    if kind is SchemeKind.SIF5:
+        rho1, rho2 = _radial_pair_batch(n, size, rng)
+        w0, w1, w2 = radial_weights_deg5(n, rho1, rho2)
+        radii, radial_w = np.stack([rho1, rho2], axis=1), np.stack([w1, w2], axis=1)
+    elif kind in (SchemeKind.CKF5, SchemeKind.QSIF5):
         # Two-node radial rule with one node pinned at zero: matching the
         # radial moments (1, n, n(n+2)) forces rho^2 = n + 2.
         rho = np.full(size, np.sqrt(n + 2.0))
-        w1 = np.full(size, n / (n + 2.0))
-        w0 = 1.0 - w1
-        if kind is SchemeKind.CKF5:
-            q = np.broadcast_to(np.eye(n), (size, n, n))
-        else:
-            q = haar_orthogonal_batch(n, size, rng)
-        va = np.einsum("lij,vj->lvi", q, basis.vertices)
-        vb = np.einsum("lij,mj->lmi", q, basis.midpoints)
-        r = rho.reshape(size, 1, 1)
-        blocks = [np.zeros((size, 1, n)), r * va, -r * va, r * vb, -r * vb]
-        w1c = w1.reshape(size, 1)
-        wcols = [
-            (w0.reshape(size, 1), 1),
-            (wa * w1c, n_vert),
-            (wa * w1c, n_vert),
-            (wb * w1c, n_mid),
-            (wb * w1c, n_mid),
-        ]
-        return _assemble(blocks, wcols, size)
-
-    if kind is SchemeKind.SIF5:
-        rho1, rho2 = _radial_pair_batch(n, size, rng)
+        w0, w1 = radial_weights_deg3(n, rho)
+        radii, radial_w = rho[:, None], w1[:, None]
+    else:
+        raise ValueError(f"unsupported scheme kind {kind!r}")
+    if kind is not SchemeKind.CKF5:
         q = haar_orthogonal_batch(n, size, rng)
-        r1sq, r2sq = rho1 * rho1, rho2 * rho2
-        w0 = 1.0 - n * (r1sq + r2sq - (n + 2.0)) / (r1sq * r2sq)
-        w1 = n * (n + 2.0 - r2sq) / (r1sq * (r1sq - r2sq))
-        w2 = n * (n + 2.0 - r1sq) / (r2sq * (r2sq - r1sq))
-        va = np.einsum("lij,vj->lvi", q, basis.vertices)
-        vb = np.einsum("lij,mj->lmi", q, basis.midpoints)
-        r1 = rho1.reshape(size, 1, 1)
-        r2 = rho2.reshape(size, 1, 1)
-        blocks = [
-            np.zeros((size, 1, n)),
-            r1 * va, -r1 * va, r2 * va, -r2 * va,
-            r1 * vb, -r1 * vb, r2 * vb, -r2 * vb,
-        ]
-        w1c, w2c = w1.reshape(size, 1), w2.reshape(size, 1)
-        wcols = [
-            (w0.reshape(size, 1), 1),
-            (wa * w1c, n_vert), (wa * w1c, n_vert),
-            (wa * w2c, n_vert), (wa * w2c, n_vert),
-            (wb * w1c, n_mid), (wb * w1c, n_mid),
-            (wb * w2c, n_mid), (wb * w2c, n_mid),
-        ]
-        return _assemble(blocks, wcols, size)
-
-    raise ValueError(f"unsupported scheme kind {kind!r}")
-
-
-def build_rule(scheme: IntegrationScheme, n: int, rng: RngStream) -> SigmaPointSet:
-    """Construct one draw of the scheme's weighted point set in dimension n.
-
-    Repetition averaging (n_m) is the integrator's job; this returns a single
-    realization.
-    """
-    points, weights = draw_rule_batch(scheme, n, 1, rng)
-    return SigmaPointSet(
-        points=points[0],
-        weights=weights[0],
-        eval_count=_per_draw_eval_count(scheme, n),
-    )
-
-
-def _per_draw_eval_count(scheme: IntegrationScheme, n: int) -> int:
-    kind = scheme.kind
-    if kind is SchemeKind.CKF3:
-        return 2 * n
-    if kind is SchemeKind.MC:
-        return scheme.mc_samples
-    if kind is SchemeKind.SIF3:
-        return 2 * n + 1
-    return n * n + 3 * n + 3
+        dirs = dirs @ np.swapaxes(q, 1, 2)  # rows Q d for every direction d
+    return _symmetric_rule(dirs, sphere_w, radii, w0, radial_w)
 
 
 def reported_eval_count(scheme: IntegrationScheme, n: int) -> int:

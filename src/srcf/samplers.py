@@ -7,45 +7,16 @@ joint density, realized exactly through a chi/beta/arcsine transform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .rng import RngStream
 
-__all__ = [
-    "RadialNodes",
-    "sample_chi",
-    "sample_beta",
-    "sample_radial_single",
-    "sample_radial_pair",
-]
+__all__ = ["sample_chi", "sample_beta"]
 
 # Draws closer together than this are numerically unusable downstream
 # (the fifth-degree weights divide by rho1^2 * rho2^2 * (rho1^2 - rho2^2)).
 _DEGENERATE_TOL = 1e-12
 _MAX_REDRAWS = 100
-
-
-@dataclass(frozen=True)
-class RadialNodes:
-    """Radial node(s) of one rule draw: a single rho, or an ordered pair."""
-
-    rho1: float
-    rho2: float | None = None
-
-    def __post_init__(self):
-        if not (self.rho1 > 0.0):
-            raise ValueError(f"rho1 must be positive, got {self.rho1}")
-        if self.rho2 is not None:
-            if not (self.rho2 > 0.0):
-                raise ValueError(f"rho2 must be positive, got {self.rho2}")
-            if not (self.rho1 < self.rho2):
-                raise ValueError("radial pair must satisfy rho1 < rho2")
-
-    @property
-    def is_pair(self) -> bool:
-        return self.rho2 is not None
 
 
 def sample_chi(dof: int, rng: RngStream, size=None) -> float | np.ndarray:
@@ -70,16 +41,6 @@ def sample_beta(alpha: float, beta: float, rng: RngStream, size=None) -> float |
     gb = gen.standard_gamma(beta, size=size)
     out = ga / (ga + gb)
     return float(out) if size is None else out
-
-
-def sample_radial_single(n: int, rng: RngStream) -> RadialNodes:
-    """Draw the third-degree radius, chi-distributed with n + 2 dof.
-
-    The target density is p(rho) proportional to rho^(n+1) * exp(-rho^2 / 2).
-    """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    return RadialNodes(sample_chi(n + 2, rng))
 
 
 def _radial_pair_batch(n: int, size: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
@@ -116,9 +77,3 @@ def _radial_pair_batch(n: int, size: int, rng: RngStream) -> tuple[np.ndarray, n
         bad = (r1 < _DEGENERATE_TOL) | (r2 - r1 < _DEGENERATE_TOL)
         pending = pending[bad]
     raise RuntimeError(f"radial pair sampling failed after {_MAX_REDRAWS} redraws")
-
-
-def sample_radial_pair(n: int, rng: RngStream) -> RadialNodes:
-    """Draw one ordered radius pair (rho1 < rho2) for the fifth-degree rule."""
-    rho1, rho2 = _radial_pair_batch(n, 1, rng)
-    return RadialNodes(float(rho1[0]), float(rho2[0]))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from srcf.bench import GrowthModel, simulate_trajectory
 from srcf.filtering import (
     DivergenceError,
     PredictedObservation,
@@ -289,3 +290,49 @@ class TestRunFilter:
             assert np.isfinite(np.trace(post.cov))
             np.testing.assert_array_equal(post.cov, post.cov.T)
             spd_sqrt(post.cov)  # conditioning keeps it factorizable
+
+
+class TestCentredMoments:
+    @pytest.mark.parametrize("label", CUBATURE_LABELS)
+    def test_large_mean_offset_keeps_moments(self, label):
+        # f(x) = x + c and h(x) = c + x_0 at N(c 1, I): a raw E[v v^T] - mean mean^T
+        # loses the unit spread to cancellation against c^2 = 1e12
+        n, c = 3, 1e6
+        model = StateSpaceModel(
+            f=VectorFunction(lambda x: x + c, vectorized=True),
+            h=VectorFunction(lambda x: c + x[:, 0], vectorized=True),
+            q=np.eye(n), r=np.eye(1), n=n, m=1,
+        )
+        belief = GaussianBelief(np.full(n, c), np.eye(n))
+        sch = scheme(label, n_m=1 if label.startswith("ckf") else 3)
+        rng = RngStream(19, stream_id=label)
+        for draw in range(5):
+            pred = predict_state(belief, model, sch, rng.substream(draw, 0))
+            np.testing.assert_allclose(pred.cov, 2.0 * np.eye(n), rtol=0, atol=1e-8)
+            obs = predict_observation(belief, model, sch, rng.substream(draw, 1))
+            assert np.any(obs.pxy)
+            np.testing.assert_allclose(obs.pyy, [[2.0]], rtol=0, atol=1e-8)
+            np.testing.assert_allclose(obs.pxy, np.eye(n)[:, :1], rtol=0, atol=1e-8)
+
+
+class TestFallbackPolicy:
+    @pytest.mark.parametrize("q", [2, 4])
+    @pytest.mark.parametrize("label", ["ckf3", "mc"])
+    def test_positive_weight_rules_never_fall_back(self, label, q):
+        # with non-negative weights the joint moment matrix is a Gram matrix,
+        # so neither the zero-gain nor the skipped-correction fallback may fire
+        model = GrowthModel(q=q, n=10)
+        ssm = model.state_space()
+        sch = scheme(label, mc=600)
+        rng = RngStream(21, stream_id=q).substream(label)
+        for run in range(10):
+            _, ys = simulate_trajectory(model, 100, rng.substream("trajectory", run))
+            belief = model.init_belief()
+            stream = rng.substream("filter", run)
+            for k, y in enumerate(ys):
+                pred = predict_state(belief, ssm, sch, stream.substream(k, 0))
+                obs = predict_observation(pred, ssm, sch, stream.substream(k, 1))
+                assert np.any(obs.pxy), f"run {run} step {k}: zero gain"
+                belief = correct(pred, obs, y)
+                unchanged = np.array_equal(belief.mean, pred.mean) and np.array_equal(belief.cov, pred.cov)
+                assert not unchanged, f"run {run} step {k}: correction skipped"

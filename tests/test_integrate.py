@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from srcf.integrate import GaussianBelief, IntegrandError, VectorFunction, expect, expect_batch
+from srcf.integrate import (
+    GaussianBelief,
+    IntegrandError,
+    VectorFunction,
+    expect,
+    expect_batch,
+    sigma_points,
+)
 from srcf.linalg import spd_sqrt
 from srcf.rng import RngStream
 from srcf.rules import IntegrationScheme, draw_rule_batch
@@ -49,6 +56,27 @@ class TestFirstMoments:
         for draw in range(10):
             est = expect(fn, belief, scheme("sif5"), RngStream(4).substream(draw))
             np.testing.assert_allclose(est, np.eye(n), atol=1e-9)
+
+
+class TestSigmaPoints:
+    @pytest.mark.parametrize("label", ALL_LABELS)
+    def test_stacks_every_draw_with_folded_weights(self, label):
+        n, n_m = 4, 1 if label.startswith("ckf") else 3
+        belief = random_belief(n, 15)
+        sch = scheme(label, n_m=n_m, mc=50)
+        x, w = sigma_points(belief, sch, RngStream(16, stream_id=label))
+        points, weights = draw_rule_batch(sch, n, n_m, RngStream(16, stream_id=label))
+        assert x.shape == (points.shape[0] * points.shape[1], n)
+        np.testing.assert_array_equal(w, weights.reshape(-1) / n_m)
+        assert abs(w.sum() - 1.0) < 1e-12
+        np.testing.assert_allclose(x, belief.mean + points.reshape(-1, n) @ spd_sqrt(belief.cov).T)
+
+    def test_expect_is_weighted_sum_over_sigma_points(self):
+        belief = random_belief(3, 17)
+        sch = scheme("sif5", n_m=4)
+        fn = VectorFunction(lambda x: np.cos(x), vectorized=True)
+        x, w = sigma_points(belief, sch, RngStream(18))
+        np.testing.assert_array_equal(expect(fn, belief, sch, RngStream(18)), w @ np.cos(x))
 
 
 class TestBatchSemantics:

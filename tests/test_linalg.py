@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from srcf.linalg import haar_orthogonal, haar_orthogonal_batch, spd_sqrt
+from srcf.linalg import haar_orthogonal_batch, spd_sqrt
 from srcf.rng import RngStream
 
 
@@ -52,9 +52,7 @@ class TestSpdSqrt:
 class TestHaarOrthogonal:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 15])
     def test_orthogonality_and_determinant(self, n):
-        rng = RngStream(3, stream_id=n)
-        for _ in range(5):
-            q = haar_orthogonal(n, rng)
+        for q in haar_orthogonal_batch(n, 5, RngStream(3, stream_id=n)):
             assert np.abs(q.T @ q - np.eye(n)).max() < 1e-10
             assert abs(abs(np.linalg.det(q)) - 1.0) < 1e-10
 
@@ -74,10 +72,12 @@ class TestHaarOrthogonal:
         assert np.abs(means).max() < bound
 
     def test_batch_matches_repeated_single(self):
+        # one batch of three equals three single draws from one stream, bit for bit
         batch = haar_orthogonal_batch(4, 3, RngStream(5))
-        for q in batch:
-            assert np.abs(q.T @ q - np.eye(4)).max() < 1e-10
+        rng = RngStream(5)
+        singles = np.concatenate([haar_orthogonal_batch(4, 1, rng) for _ in range(3)])
+        np.testing.assert_array_equal(batch, singles)
 
     def test_degenerate_dimension_rejected(self):
         with pytest.raises(ValueError):
-            haar_orthogonal(0, RngStream(0))
+            haar_orthogonal_batch(0, 1, RngStream(0))

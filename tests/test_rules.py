@@ -7,7 +7,6 @@ from srcf.rng import RngStream
 from srcf.rules import (
     IntegrationScheme,
     SchemeKind,
-    build_rule,
     draw_rule_batch,
     gaussian_monomial_moment,
     radial_weights_deg3,
@@ -17,7 +16,7 @@ from srcf.rules import (
     simplex_vertices,
     spherical_weights_deg5,
 )
-from srcf.samplers import RadialNodes
+from srcf.samplers import _radial_pair_batch, sample_chi
 
 from oracles import monomial_moment
 
@@ -28,9 +27,15 @@ def scheme(label, n_m=1, mc=2000):
     return IntegrationScheme.from_label(label, n_m=n_m, mc_samples=mc if label == "mc" else None)
 
 
+def one_draw(label, n, rng):
+    """Points (P, n) and weights (P,) of a single rule draw."""
+    points, weights = draw_rule_batch(scheme(label), n, 1, rng)
+    return points[0], weights[0]
+
+
 class TestRadialWeightsDeg5:
     def test_hand_example(self):
-        w0, w1, w2 = radial_weights_deg5(1, RadialNodes(1.0, 2.0))
+        w0, w1, w2 = radial_weights_deg5(1, 1.0, 2.0)
         assert abs(w0 - 0.5) < 1e-15
         assert abs(w1 - 1.0 / 3.0) < 1e-15
         assert abs(w2 - 1.0 / 6.0) < 1e-15
@@ -43,7 +48,7 @@ class TestRadialWeightsDeg5:
     )
     def test_moment_identities(self, n, rho1, gap):
         rho2 = rho1 + gap
-        w0, w1, w2 = radial_weights_deg5(n, RadialNodes(rho1, rho2))
+        w0, w1, w2 = radial_weights_deg5(n, rho1, rho2)
         # constants, E[r^2] = n and E[r^4] = n(n+2) are matched exactly up to
         # the conditioning of the cancellation (weights blow up as nodes
         # approach each other or zero)
@@ -53,8 +58,19 @@ class TestRadialWeightsDeg5:
         assert abs(w1 * rho1**4 + w2 * rho2**4 - n * (n + 2.0)) < 1e-12 * max(n * (n + 2), scale)
 
     def test_single_node_rejected(self):
+        # a pair collapsed onto one node (or onto the center) has no rule
         with pytest.raises(ValueError):
-            radial_weights_deg5(2, RadialNodes(1.0))
+            radial_weights_deg5(2, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            radial_weights_deg5(2, np.array([0.5, 1.0]), np.array([2.0, 1.0]))
+        with pytest.raises(ValueError):
+            radial_weights_deg5(2, 0.0, 1.0)
+
+    def test_elementwise_over_arrays(self):
+        rho1, rho2 = _radial_pair_batch(4, 50, RngStream(40))
+        w0, w1, w2 = radial_weights_deg5(4, rho1, rho2)
+        for i in (0, 17, 49):
+            assert (w0[i], w1[i], w2[i]) == radial_weights_deg5(4, rho1[i], rho2[i])
 
 
 class TestRadialWeightsDeg3:
@@ -75,6 +91,8 @@ class TestRadialWeightsDeg3:
     def test_zero_radius_rejected(self):
         with pytest.raises(ValueError):
             radial_weights_deg3(2, 0.0)
+        with pytest.raises(ValueError):
+            radial_weights_deg3(2, np.array([1.0, 0.0]))
 
 
 class TestSimplex:
@@ -151,49 +169,50 @@ class TestSchemeType:
     def test_degree5_rejects_dimension_one(self):
         for label in ("ckf5", "sif5", "qsif5"):
             with pytest.raises(ValueError):
-                build_rule(scheme(label), 1, RngStream(0))
+                draw_rule_batch(scheme(label), 1, 1, RngStream(0))
 
 
 class TestBuildRule:
+    """Single draws, ``draw_rule_batch(scheme, n, 1, rng)``."""
+
     @pytest.mark.parametrize("label", ALL_LABELS)
     def test_weights_sum_to_one(self, label):
-        ps = build_rule(scheme(label), 5, RngStream(21, stream_id=label))
-        assert abs(ps.weights.sum() - 1.0) < 1e-12
+        _, w = one_draw(label, 5, RngStream(21, stream_id=label))
+        assert abs(w.sum() - 1.0) < 1e-12
 
     @pytest.mark.parametrize("label", ["ckf3", "ckf5", "sif3", "sif5", "qsif5"])
     def test_first_two_moments_exact(self, label):
         n = 6
         for draw in range(5):
-            ps = build_rule(scheme(label), n, RngStream(22).substream(label, draw))
-            mean = ps.weights @ ps.points
-            cov = np.einsum("p,pi,pj->ij", ps.weights, ps.points, ps.points)
+            c, w = one_draw(label, n, RngStream(22).substream(label, draw))
+            mean = w @ c
+            cov = np.einsum("p,pi,pj->ij", w, c, c)
             assert np.abs(mean).max() < 1e-10
             assert np.abs(cov - np.eye(n)).max() < 1e-10
 
     def test_ckf3_structure(self):
         n = 4
-        ps = build_rule(scheme("ckf3"), n, RngStream(0))
-        assert ps.points.shape == (2 * n, n)
-        assert np.allclose(sorted(np.abs(ps.points).max(axis=1)), np.sqrt(n))
-        assert np.allclose(ps.weights, 1.0 / (2 * n))
+        c, w = one_draw("ckf3", n, RngStream(0))
+        assert c.shape == (2 * n, n)
+        assert np.allclose(sorted(np.abs(c).max(axis=1)), np.sqrt(n))
+        assert np.allclose(w, 1.0 / (2 * n))
 
     def test_sif5_point_counts(self):
         n = 6
-        ps = build_rule(scheme("sif5"), n, RngStream(1))
+        c, _ = one_draw("sif5", n, RngStream(1))
         # stored set is the full symmetric expansion; the operating count
         # tallies each +-pair once and is what budgets are quoted in
-        assert ps.points.shape == (2 * (n + 1) * (n + 2) + 1, n)
-        assert ps.eval_count == n * n + 3 * n + 3 == 57
+        assert c.shape == (2 * (n + 1) * (n + 2) + 1, n)
+        assert reported_eval_count(scheme("sif5"), n) == n * n + 3 * n + 3 == 57
 
     def test_point_set_symmetric(self):
-        ps = build_rule(scheme("sif5"), 4, RngStream(2))
-        pts = ps.points
+        pts, w = one_draw("sif5", 4, RngStream(2))
         # every non-center point's negation is present with equal weight
         for idx in (1, 5, len(pts) - 1):
             diff = np.abs(pts + pts[idx]).sum(axis=1)
             j = int(np.argmin(diff))
             assert diff[j] < 1e-12
-            assert abs(ps.weights[idx] - ps.weights[j]) < 1e-15
+            assert abs(w[idx] - w[j]) < 1e-15
 
     def test_batch_shapes(self):
         pts, w = draw_rule_batch(scheme("sif3"), 3, 7, RngStream(3))
@@ -201,38 +220,56 @@ class TestBuildRule:
         assert w.shape == (7, 7)
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_sif5_weights_are_radial_times_spherical(self):
+        # radii come first in a batch's stream, so the same seed replays them
+        n, size = 5, 4
+        _, w = draw_rule_batch(scheme("sif5"), n, size, RngStream(41))
+        w0, w1, w2 = radial_weights_deg5(n, *_radial_pair_batch(n, size, RngStream(41)))
+        wa, wb = spherical_weights_deg5(n)
+        np.testing.assert_array_equal(w[:, 0], w0)
+        for d in range(size):
+            shell = np.unique([w1[d] * wa, w1[d] * wb, w2[d] * wa, w2[d] * wb])
+            np.testing.assert_array_equal(np.unique(w[d, 1:]), shell)
+
+    def test_sif3_weights_are_radial_times_spherical(self):
+        n, size = 5, 4
+        _, w = draw_rule_batch(scheme("sif3"), n, size, RngStream(42))
+        w0, w1 = radial_weights_deg3(n, sample_chi(n + 2, RngStream(42), size=size))
+        np.testing.assert_array_equal(w[:, 0], w0)
+        np.testing.assert_allclose(w[:, 1:], np.repeat(w1[:, None] / (2 * n), 2 * n, axis=1), rtol=1e-15)
+
 
 class TestPolynomialExactness:
     @staticmethod
-    def _max_monomial_dev(ps, max_degree):
+    def _max_monomial_dev(points, weights, max_degree):
         worst = 0.0
-        n = ps.dim
+        n = points.shape[1]
         from itertools import combinations_with_replacement
 
         for total in range(max_degree + 1):
             for combo in combinations_with_replacement(range(n), total):
                 alpha = np.bincount(combo, minlength=n) if combo else np.zeros(n, int)
-                vals = np.prod(ps.points ** alpha, axis=1)
-                dev = abs(ps.weights @ vals - monomial_moment(alpha))
+                vals = np.prod(points ** alpha, axis=1)
+                dev = abs(weights @ vals - monomial_moment(alpha))
                 worst = max(worst, dev)
         return worst
 
     @pytest.mark.parametrize("label", ["ckf5", "sif5", "qsif5"])
     def test_degree5_exactness(self, label):
         for draw in range(10):
-            ps = build_rule(scheme(label), 4, RngStream(30).substream(label, draw))
-            assert self._max_monomial_dev(ps, 5) < 1e-9
+            c, w = one_draw(label, 4, RngStream(30).substream(label, draw))
+            assert self._max_monomial_dev(c, w, 5) < 1e-9
 
     @pytest.mark.parametrize("label", ["ckf3", "sif3"])
     def test_degree3_exactness(self, label):
         for draw in range(10):
-            ps = build_rule(scheme(label), 4, RngStream(31).substream(label, draw))
-            assert self._max_monomial_dev(ps, 3) < 1e-9
+            c, w = one_draw(label, 4, RngStream(31).substream(label, draw))
+            assert self._max_monomial_dev(c, w, 3) < 1e-9
 
     def test_ckf3_fourth_moment_is_n(self):
         n = 6
-        ps = build_rule(scheme("ckf3"), n, RngStream(0))
-        assert abs(ps.weights @ ps.points[:, 0] ** 4 - n) < 1e-12
+        c, w = one_draw("ckf3", n, RngStream(0))
+        assert abs(w @ c[:, 0] ** 4 - n) < 1e-12
 
     @pytest.mark.parametrize(
         "label,poly",
@@ -248,8 +285,8 @@ class TestPolynomialExactness:
         rng = RngStream(32, stream_id=label)
         vals = []
         for _ in range(50):
-            ps = build_rule(scheme(label), n, rng)
-            vals.append(ps.weights @ poly(ps.points))
+            c, w = one_draw(label, n, rng)
+            vals.append(w @ poly(c))
         assert np.var(vals) < 1e-18
 
     def test_sif5_unbiased_for_degree_six(self):

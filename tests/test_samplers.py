@@ -3,14 +3,7 @@ import pytest
 import scipy.stats as st
 
 from srcf.rng import RngStream
-from srcf.samplers import (
-    RadialNodes,
-    _radial_pair_batch,
-    sample_beta,
-    sample_chi,
-    sample_radial_pair,
-    sample_radial_single,
-)
+from srcf.samplers import _radial_pair_batch, sample_beta, sample_chi
 
 from oracles import rejection_sample_radial_pair
 
@@ -61,17 +54,17 @@ class TestBeta:
 
 
 class TestRadialSingle:
+    """The third-degree radius: chi with n + 2 dof, as ``draw_rule_batch`` draws it."""
+
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_second_moment_is_n_plus_2(self, n):
-        rng = RngStream(7, stream_id=n)
-        sq = np.array([sample_radial_single(n, rng).rho1 ** 2 for _ in range(20_000)])
+        sq = sample_chi(n + 2, RngStream(7, stream_id=n), size=20_000) ** 2
         dof = n + 2
         se = np.sqrt(2.0 * dof / sq.size)
         assert abs(sq.mean() - dof) < 3.0 * se
 
     def test_positive(self):
-        rng = RngStream(8)
-        assert all(sample_radial_single(2, rng).rho1 > 0 for _ in range(200))
+        assert (sample_chi(2 + 2, RngStream(8), size=200) > 0).all()
 
     def test_density_matches_histogram(self):
         # n = 1: density proportional to rho^2 exp(-rho^2/2), i.e. chi(3)
@@ -120,20 +113,6 @@ class TestRadialPair:
         assert st.ks_2samp(r2, o2).pvalue > 0.01
 
     def test_single_draw_api(self):
-        nodes = sample_radial_pair(5, RngStream(16))
-        assert nodes.is_pair and 0 < nodes.rho1 < nodes.rho2
-
-
-class TestRadialNodes:
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            RadialNodes(0.0)
-        with pytest.raises(ValueError):
-            RadialNodes(1.0, -1.0)
-
-    def test_rejects_unordered_pair(self):
-        with pytest.raises(ValueError):
-            RadialNodes(2.0, 1.0)
-
-    def test_single_node(self):
-        assert not RadialNodes(1.5).is_pair
+        r1, r2 = _radial_pair_batch(5, 1, RngStream(16))
+        assert r1.shape == r2.shape == (1,)
+        assert 0 < r1[0] < r2[0]
