@@ -42,13 +42,11 @@ from .rng import RngStream
 from .rules import (
     IntegrationScheme,
     SchemeKind,
-    SimplexBasis,
     draw_rule_batch,
     gaussian_monomial_moment,
     radial_weights_deg3,
     radial_weights_deg5,
     reported_eval_count,
-    simplex_basis,
     simplex_midpoints,
     simplex_vertices,
     spherical_weights_deg5,
@@ -63,12 +61,10 @@ __all__ = [
     "sample_beta",
     "SchemeKind",
     "IntegrationScheme",
-    "SimplexBasis",
     "radial_weights_deg5",
     "radial_weights_deg3",
     "simplex_vertices",
     "simplex_midpoints",
-    "simplex_basis",
     "spherical_weights_deg5",
     "draw_rule_batch",
     "reported_eval_count",

@@ -9,7 +9,6 @@ growth model and reports per-step RMSE.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,24 +101,11 @@ class IntegralBenchReport:
     meta: dict
 
 
-def _map_indexed(fn, count: int, workers: int) -> list:
-    """Evaluate fn(i) for i in range(count), optionally on a thread pool.
-
-    Results come back in index order, so the output is independent of the
-    worker count (each task derives its own substream).
-    """
-    if workers <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 def run_integral_bench(
     n: int,
     schemes: list[IntegrationScheme],
     runs: int,
     rng: RngStream,
-    workers: int = 1,
 ) -> IntegralBenchReport:
     """Relative-error study of E[sum_i x_i^i] under N(0, I_n) per scheme.
 
@@ -138,12 +124,10 @@ def run_integral_bench(
     for scheme in schemes:
         label = scheme.label
         n_runs = 1 if scheme.kind.deterministic else runs
-
-        def one_run(r: int, scheme=scheme, label=label) -> float:
-            est = expect(integrand, belief, scheme, rng.substream(label, r))
-            return float(est)
-
-        estimates = np.asarray(_map_indexed(one_run, n_runs, workers))
+        estimates = np.array([
+            float(expect(integrand, belief, scheme, rng.substream(label, r)))
+            for r in range(n_runs)
+        ])
         rel_err = np.abs(truth - estimates) / abs(truth) * 100.0
         if scheme.kind.deterministic:
             deterministic_values[label] = float(estimates[0])
@@ -304,7 +288,6 @@ def run_filter_bench(
     n_mc: int,
     steps: int,
     rng: RngStream,
-    workers: int = 1,
 ) -> list[RmseSeries]:
     """Monte-Carlo filtering study: per-step RMSE of each scheme.
 
@@ -315,11 +298,9 @@ def run_filter_bench(
     """
     if n_mc < 1:
         raise ValueError("n_mc must be >= 1")
-    sims = _map_indexed(
-        lambda r: _simulate_with_count(model, steps, rng.substream("trajectory", r)),
-        n_mc,
-        workers,
-    )
+    sims = [
+        _simulate_with_count(model, steps, rng.substream("trajectory", r)) for r in range(n_mc)
+    ]
     trajectories = [(xs, ys) for xs, ys, _ in sims]
     resamples = int(sum(c for _, _, c in sims))
     ssm = model.state_space()
@@ -328,22 +309,17 @@ def run_filter_bench(
     series = []
     for scheme in schemes:
         label = scheme.label
-
-        def one_run(r: int, scheme=scheme, label=label):
-            xs, ys = trajectories[r]
+        included, sq_rows, excluded = [], [], 0
+        for r, (xs, ys) in enumerate(trajectories):
             try:
-                posteriors = run_filter(
-                    ssm, scheme, ys, init, rng.substream("filter", label, r)
-                )
-            except DivergenceError as err:
-                return None, err.step
+                posteriors = run_filter(ssm, scheme, ys, init, rng.substream("filter", label, r))
+            except DivergenceError:
+                excluded += 1
+                continue
             means = np.array([b.mean for b in posteriors])
-            return ((means - xs[1:]) ** 2).sum(axis=1), None
-
-        outcomes = _map_indexed(one_run, n_mc, workers)
-        included = [r for r, (sq, _) in enumerate(outcomes) if sq is not None]
-        sq_errors = np.asarray([outcomes[r][0] for r in included])
-        excluded = [step for sq, step in outcomes if sq is None]
+            included.append(r)
+            sq_rows.append(((means - xs[1:]) ** 2).sum(axis=1))
+        sq_errors = np.asarray(sq_rows)
         if included:
             rmse = np.sqrt(np.mean(sq_errors, axis=0))
         else:
@@ -365,7 +341,7 @@ def run_filter_bench(
                     "steps": steps,
                     "seed": rng.seed,
                     "points_per_integral": reported_eval_count(scheme, model.n),
-                    "excluded_runs": len(excluded),
+                    "excluded_runs": excluded,
                     "included_runs": included,
                     "trajectory_resamples": resamples,
                 },

@@ -1,22 +1,27 @@
 """Command-line front end: benchmark dispatch, seeding, and CSV/JSON reports.
 
-Commands
---------
+Commands and the options each one reads
+---------------------------------------
 integral-bench
-    Relative-error study of the sum-of-powers integral (defaults: n=6,
-    1000 runs, repetition counts sif3=50 / sif5=10 / qsif5=10, 600 MC
-    samples).
+    Relative-error study of the sum-of-powers integral.
+    ``--n`` (6), ``--runs`` (1000), ``--schemes`` (all six rules),
+    ``--nm`` (sif3=50, sif5=10, qsif5=10), ``--mc-samples`` (600).
 filter-bench
-    Growth-model filtering RMSE study (defaults: n=10, q=2, 500 Monte-Carlo
-    runs, 100 steps).
+    Growth-model filtering RMSE study.
+    ``--n`` (10), ``--q`` (2), ``--steps`` (100), ``--nmc`` (500 Monte-Carlo
+    runs), ``--schemes`` (every rule but mc), ``--nm``, ``--mc-samples``.
 rule-check
     Polynomial-exactness audit of one or more rules: evaluates every
     monomial up to one degree past the rule's order and reports the worst
     deviation per degree.
+    ``--n`` (4), ``--runs`` (100 rule draws), ``--schemes`` (sif5).
 
-Flags override config-file values, which override the defaults above.  The
-master seed comes from --seed, the config file, or the SRCF_SEED environment
-variable, in that order.
+Every command also reads ``--seed``, ``--out``, ``--format`` (csv) and
+``--config``.  A command rejects any flag or config key it does not read.
+Flags override config-file values (``key = value`` lines named like the
+flags), which override the defaults above.  The master seed comes from
+--seed, the config file, or the SRCF_SEED environment variable, in that
+order.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .bench import (
     run_filter_bench,
     run_integral_bench,
 )
-from .rng import RngStream
+from .rng import SEED_MAX, RngStream
 from .rules import (
     IntegrationScheme,
     SchemeKind,
@@ -48,69 +53,80 @@ from .rules import (
 
 __all__ = ["BenchConfig", "parse_config", "emit_report", "rule_check", "load_report", "main"]
 
-_DEFAULT_NM = {"sif3": 50, "sif5": 10, "qsif5": 10}
-_DEFAULT_MC_SAMPLES = 600
+_COMMON = {
+    "seed": (int, 0),
+    "out": (str, None),
+    "format": (str, "csv"),
+    "config": (str, None),
+}
+_REPETITIONS = {
+    "nm": (str, "sif3=50,sif5=10,qsif5=10"),
+    "mc-samples": (int, 600),
+}
 
-_COMMAND_DEFAULTS = {
+# Every option a command reads, as name -> (type, default).  Its flags, its
+# config-file keys (all options but "config") and its defaults come from
+# here, so a command rejects any option it would not read.
+_COMMANDS = {
     "integral-bench": {
-        "n": 6,
-        "q": 2,
-        "steps": 100,
-        "runs": 1000,
-        "nmc": 500,
-        "schemes": "ckf3,ckf5,sif3,sif5,qsif5,mc",
+        "n": (int, 6),
+        "runs": (int, 1000),
+        "schemes": (str, "ckf3,ckf5,sif3,sif5,qsif5,mc"),
+        **_REPETITIONS,
+        **_COMMON,
     },
     "filter-bench": {
-        "n": 10,
-        "q": 2,
-        "steps": 100,
-        "runs": 1000,
-        "nmc": 500,
-        "schemes": "ckf3,ckf5,sif3,sif5,qsif5",
+        "n": (int, 10),
+        "q": (int, 2),
+        "steps": (int, 100),
+        "nmc": (int, 500),
+        "schemes": (str, "ckf3,ckf5,sif3,sif5,qsif5"),
+        **_REPETITIONS,
+        **_COMMON,
     },
     "rule-check": {
-        "n": 4,
-        "q": 2,
-        "steps": 100,
-        "runs": 100,
-        "nmc": 500,
-        "schemes": "sif5",
+        "n": (int, 4),
+        "runs": (int, 100),
+        "schemes": (str, "sif5"),
+        **_COMMON,
     },
 }
 
-_FILE_KEYS = {
-    "n": int,
-    "q": int,
-    "steps": int,
-    "runs": int,
-    "nmc": int,
-    "schemes": str,
-    "nm": str,
-    "mc-samples": int,
-    "seed": int,
-    "out": str,
-    "format": str,
-    "workers": int,
+_HELP = {
+    "n": "state / integrand dimension",
+    "q": "observation nonlinearity exponent",
+    "steps": "trajectory length",
+    "runs": "independent runs (integral-bench) or rule draws (rule-check)",
+    "nmc": "Monte-Carlo filter runs",
+    "schemes": "comma-separated subset of ckf3,ckf5,sif3,sif5,qsif5,mc",
+    "nm": "repetition count per scheme, e.g. --nm sif5=10 (repeatable)",
+    "mc-samples": "samples per MC draw",
+    "seed": "master seed (fallback: $SRCF_SEED)",
+    "out": "output path (default: stdout)",
+    "format": "csv or json",
+    "config": "key-value file mirroring the flags",
 }
 
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """Fully resolved invocation: everything needed to reproduce a report."""
+    """Fully resolved invocation: everything needed to reproduce a report.
+
+    Options the command does not read are None.
+    """
 
     command: str
     n: int
-    q: int
-    steps: int
-    runs: int
-    n_mc: int
     schemes: tuple[IntegrationScheme, ...]
     nm: dict
-    mc_samples: int
     seed: int
     out: str | None
     format: str
-    workers: int
+    q: int | None = None
+    steps: int | None = None
+    runs: int | None = None
+    n_mc: int | None = None
+    mc_samples: int | None = None
 
 
 def _parse_nm_items(items) -> dict:
@@ -132,27 +148,31 @@ def _parse_nm_items(items) -> dict:
     return nm
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config_file(path: str, command: str) -> dict:
+    options = {k: v for k, v in _COMMANDS[command].items() if k != "config"}
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            for sep in ("=", ":"):
-                if sep in line:
-                    key, _, value = line.partition(sep)
-                    break
-            else:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
-            key = key.strip().lower()
-            value = value.strip()
-            if key not in _FILE_KEYS:
-                raise ValueError(
-                    f"{path}:{lineno}: unknown config key {key!r} "
-                    f"(valid: {', '.join(sorted(_FILE_KEYS))})"
-                )
-            values[key] = _FILE_KEYS[key](value)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as err:
+        raise ValueError(f"cannot read config file {path!r}: {err.strerror}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        for sep in ("=", ":"):
+            if sep in line:
+                key, _, value = line.partition(sep)
+                break
+        else:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
+        key = key.strip().lower()
+        if key not in options:
+            raise ValueError(
+                f"{path}:{lineno}: unknown config key {key!r} for {command} "
+                f"(valid: {', '.join(sorted(options))})"
+            )
+        values[key] = options[key][0](value.strip())
     return values
 
 
@@ -162,80 +182,52 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Benchmarks for stochastic spherical-radial integration rules and filters.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in _COMMAND_DEFAULTS:
+    for command, options in _COMMANDS.items():
         p = sub.add_parser(command)
-        p.add_argument("--n", type=int, default=None, help="state / integrand dimension")
-        p.add_argument("--q", type=int, default=None, help="observation nonlinearity exponent")
-        p.add_argument("--steps", type=int, default=None, help="trajectory length")
-        p.add_argument("--runs", type=int, default=None,
-                       help="independent runs (integral-bench) or rule draws (rule-check)")
-        p.add_argument("--nmc", type=int, default=None, help="Monte-Carlo filter runs")
-        p.add_argument("--schemes", type=str, default=None,
-                       help="comma-separated subset of ckf3,ckf5,sif3,sif5,qsif5,mc")
-        p.add_argument("--nm", action="append", default=None, metavar="SCHEME=INT",
-                       help="repetition count per scheme, e.g. --nm sif5=10")
-        p.add_argument("--mc-samples", type=int, default=None, help="samples per MC draw")
-        p.add_argument("--seed", type=int, default=None, help="master seed (fallback: $SRCF_SEED)")
-        p.add_argument("--out", type=str, default=None, help="output path (default: stdout)")
-        p.add_argument("--format", type=str, default=None, choices=("csv", "json"))
-        p.add_argument("--config", type=str, default=None, help="key-value file mirroring flags")
-        p.add_argument("--workers", type=int, default=None, help="thread pool size")
+        for name, (kind, _) in options.items():
+            if name == "nm":
+                p.add_argument("--nm", action="append", metavar="SCHEME=INT", help=_HELP[name])
+            else:
+                p.add_argument(f"--{name}", dest=name, type=kind, help=_HELP[name])
     return parser
 
 
-def parse_config(argv, config_file: str | None = None) -> BenchConfig:
-    """Resolve argv (plus an optional config file) into a BenchConfig.
+def parse_config(argv) -> BenchConfig:
+    """Resolve argv (plus the --config file it names) into a BenchConfig.
 
     Precedence: command-line flags, then config-file values, then the
-    command's defaults.  Unknown flags and config keys are rejected.
+    command's defaults.  Flags and config keys the command does not read are
+    rejected, and so is any value the command could not run with.
     """
-    args = _build_parser().parse_args(list(argv))
-    command = args.command
-    defaults = _COMMAND_DEFAULTS[command]
+    args = vars(_build_parser().parse_args(list(argv)))
+    command = args["command"]
+    options = _COMMANDS[command]
+    file_vals = _read_config_file(args["config"], command) if args["config"] else {}
 
-    path = args.config if args.config is not None else config_file
-    file_vals = _read_config_file(path) if path else {}
-
-    def pick(flag_value, file_key, fallback):
-        if flag_value is not None:
-            return flag_value
-        if file_key in file_vals:
-            return file_vals[file_key]
-        return fallback
-
-    n = pick(args.n, "n", defaults["n"])
-    q = pick(args.q, "q", defaults["q"])
-    steps = pick(args.steps, "steps", defaults["steps"])
-    runs = pick(args.runs, "runs", defaults["runs"])
-    n_mc = pick(args.nmc, "nmc", defaults["nmc"])
-    schemes_str = pick(args.schemes, "schemes", defaults["schemes"])
-    mc_samples = pick(args.mc_samples, "mc-samples", _DEFAULT_MC_SAMPLES)
-    out = pick(args.out, "out", None)
-    fmt = pick(args.format, "format", "csv")
-    workers = pick(args.workers, "workers", 1)
-
+    values = {name: default for name, (_, default) in options.items()}
     env_seed = os.environ.get("SRCF_SEED")
-    seed = pick(args.seed, "seed", int(env_seed) if env_seed is not None else 0)
+    if env_seed is not None:
+        values["seed"] = int(env_seed)
+    values.update(file_vals)
+    values.update((k, v) for k, v in args.items() if k in options and v is not None)
 
-    for name, value, low in (
-        ("--n", n, 1), ("--q", q, 1), ("--steps", steps, 1), ("--runs", runs, 1),
-        ("--nmc", n_mc, 1), ("--mc-samples", mc_samples, 1), ("--workers", workers, 1),
-    ):
-        if value < low:
-            raise ValueError(f"{name} must be >= {low}, got {value}")
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"--format must be csv or json, got {fmt!r}")
-    if seed < 0:
-        raise ValueError(f"--seed must be non-negative, got {seed}")
+    for name, (kind, _) in options.items():
+        if kind is int and name != "seed" and values[name] < 1:
+            raise ValueError(f"--{name} must be >= 1, got {values[name]}")
+    if values["format"] not in ("csv", "json"):
+        raise ValueError(f"--format must be csv or json, got {values['format']!r}")
+    if not 0 <= values["seed"] <= SEED_MAX:
+        raise ValueError(f"--seed must be in [0, 2**64 - 1], got {values['seed']}")
 
-    nm = dict(_DEFAULT_NM)
-    if "nm" in file_vals:
-        nm.update(_parse_nm_items([file_vals["nm"]]))
-    if args.nm:
-        nm.update(_parse_nm_items(args.nm))
+    nm = {}
+    if "nm" in options:
+        # later items override earlier ones: defaults, then file, then flags
+        nm = _parse_nm_items([options["nm"][1], file_vals.get("nm", ""), *(args["nm"] or [])])
 
+    n = values["n"]
+    mc_samples = values.get("mc-samples")
     schemes = []
-    for label in schemes_str.split(","):
+    for label in values["schemes"].split(","):
         label = label.strip().lower()
         if not label:
             continue
@@ -244,6 +236,9 @@ def parse_config(argv, config_file: str | None = None) -> BenchConfig:
             n_m=nm.get(label, 1),
             mc_samples=mc_samples if label == "mc" else None,
         )
+        scheme.validate_dim(n)
+        if command == "rule-check" and scheme.kind.degree is None:
+            raise ValueError("rule-check needs a polynomial-exact rule; mc has no such degree")
         schemes.append(scheme)
     if not schemes:
         raise ValueError("--schemes must name at least one scheme")
@@ -251,17 +246,16 @@ def parse_config(argv, config_file: str | None = None) -> BenchConfig:
     return BenchConfig(
         command=command,
         n=n,
-        q=q,
-        steps=steps,
-        runs=runs,
-        n_mc=n_mc,
         schemes=tuple(schemes),
         nm={s.label: s.n_m for s in schemes},
+        seed=values["seed"],
+        out=values["out"],
+        format=values["format"],
+        q=values.get("q"),
+        steps=values.get("steps"),
+        runs=values.get("runs"),
+        n_mc=values.get("nmc"),
         mc_samples=mc_samples,
-        seed=seed,
-        out=out,
-        format=fmt,
-        workers=workers,
     )
 
 
@@ -380,8 +374,6 @@ def _flatten_meta(meta: dict, prefix: str = "") -> list[tuple[str, str]]:
 
 def _payload(report, config: BenchConfig) -> tuple[dict, list[str], list[dict]]:
     """Normalize a report into (meta, column order, row dicts)."""
-    # worker count is deliberately absent: results are worker-independent
-    # and output files must be byte-identical across pool sizes
     base_meta = {
         "tool_version": __version__,
         "command": config.command,
@@ -481,16 +473,10 @@ def load_report(path: str):
 def _dispatch(config: BenchConfig) -> tuple[object, int]:
     rng = RngStream(config.seed)
     if config.command == "integral-bench":
-        report = run_integral_bench(
-            config.n, list(config.schemes), config.runs, rng, workers=config.workers
-        )
-        return report, 0
+        return run_integral_bench(config.n, list(config.schemes), config.runs, rng), 0
     if config.command == "filter-bench":
         model = GrowthModel(q=config.q, n=config.n)
-        series = run_filter_bench(
-            model, list(config.schemes), config.n_mc, config.steps, rng,
-            workers=config.workers,
-        )
+        series = run_filter_bench(model, list(config.schemes), config.n_mc, config.steps, rng)
         failed = any(s.meta["excluded_runs"] >= config.n_mc for s in series)
         return series, (1 if failed else 0)
     if config.command == "rule-check":

@@ -17,6 +17,7 @@ import numpy as np
 __all__ = ["RngStream"]
 
 _MASK32 = 0xFFFFFFFF
+SEED_MAX = 0xFFFFFFFFFFFFFFFF  # master seeds are unsigned 64-bit ints
 
 
 def _id_words(value) -> tuple[int, int]:
@@ -59,7 +60,7 @@ class RngStream:
 
     def __init__(self, seed: int, stream_id=None, _path: tuple = ()):
         seed = int(seed)
-        if seed < 0 or seed > 0xFFFFFFFFFFFFFFFF:
+        if seed < 0 or seed > SEED_MAX:
             raise ValueError("seed must fit in an unsigned 64-bit int")
         self.seed = seed
         path = tuple(_path)

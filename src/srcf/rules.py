@@ -35,12 +35,10 @@ from .samplers import _radial_pair_batch, sample_chi
 __all__ = [
     "SchemeKind",
     "IntegrationScheme",
-    "SimplexBasis",
     "radial_weights_deg5",
     "radial_weights_deg3",
     "simplex_vertices",
     "simplex_midpoints",
-    "simplex_basis",
     "spherical_weights_deg5",
     "draw_rule_batch",
     "reported_eval_count",
@@ -132,14 +130,6 @@ class IntegrationScheme:
             )
 
 
-@dataclass(frozen=True)
-class SimplexBasis:
-    """Unit vertices of a regular n-simplex and their projected midpoints."""
-
-    vertices: np.ndarray  # (n+1, n), unit rows with pairwise dot -1/n
-    midpoints: np.ndarray  # (n(n+1)/2, n), unit rows
-
-
 def radial_weights_deg5(n: int, rho1, rho2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Normalized weights of the three-node fifth-degree radial rule.
 
@@ -228,20 +218,6 @@ def simplex_midpoints(n: int, vertices: np.ndarray) -> np.ndarray:
     return scale * np.asarray(pairs)
 
 
-@lru_cache(maxsize=None)
-def _simplex_basis_cached(n: int) -> SimplexBasis:
-    vertices = simplex_vertices(n)
-    midpoints = simplex_midpoints(n, vertices)
-    vertices.setflags(write=False)
-    midpoints.setflags(write=False)
-    return SimplexBasis(vertices=vertices, midpoints=midpoints)
-
-
-def simplex_basis(n: int) -> SimplexBasis:
-    """The cached simplex surface basis for dimension n."""
-    return _simplex_basis_cached(n)
-
-
 def spherical_weights_deg5(n: int) -> tuple[float, float]:
     """Per-point weights (wa, wb) of the degree-5 simplex surface rule.
 
@@ -264,10 +240,11 @@ def spherical_weights_deg5(n: int) -> tuple[float, float]:
 def _simplex_directions(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Directions of the degree-5 surface rule (vertices, then midpoints)
     with the weight of each of their +- points."""
-    basis = simplex_basis(n)
+    vertices = simplex_vertices(n)
+    midpoints = simplex_midpoints(n, vertices)
     wa, wb = spherical_weights_deg5(n)
-    dirs = np.concatenate([basis.vertices, basis.midpoints])
-    weights = np.repeat([wa, wb], [basis.vertices.shape[0], basis.midpoints.shape[0]])
+    dirs = np.concatenate([vertices, midpoints])
+    weights = np.repeat([wa, wb], [vertices.shape[0], midpoints.shape[0]])
     dirs.setflags(write=False)
     weights.setflags(write=False)
     return dirs, weights

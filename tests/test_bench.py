@@ -83,12 +83,6 @@ class TestIntegralBench:
         report = run_integral_bench(6, schemes, 1, RngStream(8))
         assert [r.points for r in report.rows] == [12, 57, 601, 570, 561, 600]
 
-    def test_worker_count_does_not_change_results(self):
-        schemes = [scheme("sif3", n_m=5), scheme("mc", mc=100)]
-        a = run_integral_bench(4, schemes, 16, RngStream(9), workers=1)
-        b = run_integral_bench(4, schemes, 16, RngStream(9), workers=4)
-        assert a.rows == b.rows
-
 
 class TestGrowthModel:
     def test_observation_values(self):
@@ -182,13 +176,6 @@ class TestFilterBench:
         b = run_filter_bench(model, schemes, 6, 12, RngStream(14))
         for sa, sb in zip(a, b):
             np.testing.assert_array_equal(sa.values, sb.values)
-
-    def test_worker_count_does_not_change_results(self):
-        model = GrowthModel(q=1, n=3)
-        schemes = [scheme("sif3", n_m=3)]
-        a = run_filter_bench(model, schemes, 8, 10, RngStream(15), workers=1)
-        b = run_filter_bench(model, schemes, 8, 10, RngStream(15), workers=3)
-        np.testing.assert_array_equal(a[0].values, b[0].values)
 
     def test_linear_observation_schemes_agree(self):
         # with a linear model every polynomial-exact scheme reproduces the

@@ -150,18 +150,53 @@ class TestDeterminism:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_worker_count_same_bytes(self, tmp_path):
-        args = ["filter-bench", "--n", "2", "--q", "1", "--steps", "5", "--nmc", "6",
-                "--schemes", "sif3,ckf3", "--seed", "10"]
-        out1, out2 = tmp_path / "w1.csv", tmp_path / "w4.csv"
-        assert main(args + ["--out", str(out1), "--workers", "1"]) == 0
-        assert main(args + ["--out", str(out2), "--workers", "4"]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+
+def _exit_code(argv) -> int:
+    """main's return code, or the code argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# Options each command does not read; "workers" sized the removed thread pool.
+_UNREAD_OPTIONS = {
+    "integral-bench": ["q", "steps", "nmc", "workers"],
+    "filter-bench": ["runs", "workers"],
+    "rule-check": ["q", "steps", "nmc", "nm", "mc-samples", "workers"],
+}
 
 
 class TestExitCodes:
-    def test_bad_value_returns_2(self):
-        assert main(["integral-bench", "--runs", "0"]) == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["integral-bench", "--runs", "0"],
+            ["integral-bench", "--config", "no-such-file.cfg"],
+            ["integral-bench", "--seed", str(2**64)],
+            ["integral-bench", "--n", "1", "--schemes", "sif5"],
+            ["filter-bench", "--n", "1", "--schemes", "ckf5"],
+            ["rule-check", "--n", "1", "--schemes", "qsif5"],
+            ["rule-check", "--schemes", "mc"],
+        ],
+        ids=["runs-zero", "missing-config", "seed-too-large", "sif5-n1", "ckf5-n1",
+             "qsif5-n1", "rule-check-mc"],
+    )
+    def test_bad_value_returns_2(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("srcf: error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "command,option",
+        [(c, o) for c, options in _UNREAD_OPTIONS.items() for o in options],
+    )
+    def test_unread_option_returns_2(self, command, option, tmp_path):
+        value = "sif5=2" if option == "nm" else "3"
+        assert _exit_code([command, f"--{option}", value]) == 2
+        path = tmp_path / "unread.cfg"
+        path.write_text(f"{option} = {value}\n")
+        assert _exit_code([command, "--config", str(path)]) == 2
 
     def test_unwritable_out_returns_1(self, tmp_path):
         code = main([
