@@ -20,6 +20,7 @@ from .rules import IntegrationScheme, reported_eval_count
 
 __all__ = [
     "GrowthModel",
+    "TrajectoryOverflowError",
     "IntegralBenchRow",
     "IntegralBenchReport",
     "RmseSeries",
@@ -57,6 +58,10 @@ SCHEME_VARIANT_NOTES = {
 
 _OVERFLOW_LIMIT = 1e280
 _MAX_TRAJECTORY_RESAMPLES = 10
+
+
+class TrajectoryOverflowError(RuntimeError):
+    """The growth model's observations overflow on every resampled trajectory."""
 
 
 def true_integral_sum_powers(n: int) -> float:
@@ -225,25 +230,27 @@ def _simulate_with_count(
     n = model.n
     q_sd = np.sqrt(model.process_var)
     r_sd = np.sqrt(model.obs_var)
-    for attempt in range(_MAX_TRAJECTORY_RESAMPLES + 1):
-        x = model.init_mean + np.sqrt(model.init_var) * gen.standard_normal(n)
-        xs = np.empty((steps + 1, n))
-        ys = np.empty((steps, 1))
-        xs[0] = x
-        ok = True
-        for k in range(1, steps + 1):
-            x = model.transition(x) + q_sd * gen.standard_normal(n)
-            y = model.observe(x) + r_sd * gen.standard_normal()
-            if not np.isfinite(y) or abs(y) > _OVERFLOW_LIMIT:
-                ok = False
-                break
-            xs[k] = x
-            ys[k - 1, 0] = y
-        if ok:
-            return xs, ys, attempt
-    raise RuntimeError(
+    # an observation that overflows is caught below and its trajectory resampled
+    with np.errstate(over="ignore"):
+        for attempt in range(_MAX_TRAJECTORY_RESAMPLES + 1):
+            x = model.init_mean + np.sqrt(model.init_var) * gen.standard_normal(n)
+            xs = np.empty((steps + 1, n))
+            ys = np.empty((steps, 1))
+            xs[0] = x
+            ok = True
+            for k in range(1, steps + 1):
+                x = model.transition(x) + q_sd * gen.standard_normal(n)
+                y = model.observe(x) + r_sd * gen.standard_normal()
+                if not np.isfinite(y) or abs(y) > _OVERFLOW_LIMIT:
+                    ok = False
+                    break
+                xs[k] = x
+                ys[k - 1, 0] = y
+            if ok:
+                return xs, ys, attempt
+    raise TrajectoryOverflowError(
         f"trajectory observation overflowed {_MAX_TRAJECTORY_RESAMPLES + 1} times; "
-        "the model is numerically unusable at these parameters"
+        f"the model is numerically unusable at q={model.q}, n={n}"
     )
 
 
@@ -260,7 +267,8 @@ def simulate_trajectory(
         y_1 .. y_steps.
 
     Trajectories whose observations exceed the double-precision-safe limit
-    are discarded and resampled (at most 10 times).
+    are discarded and resampled (at most 10 times); if all of them overflow,
+    :class:`TrajectoryOverflowError` is raised.
     """
     xs, ys, _ = _simulate_with_count(model, steps, rng)
     return xs, ys

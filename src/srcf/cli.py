@@ -40,6 +40,7 @@ from .bench import (
     GrowthModel,
     IntegralBenchReport,
     RmseSeries,
+    TrajectoryOverflowError,
     run_filter_bench,
     run_integral_bench,
 )
@@ -500,6 +501,9 @@ def main(argv=None) -> int:
     try:
         report, status = _dispatch(config)
         emit_report(report, config)
+    except TrajectoryOverflowError as err:
+        print(f"srcf: error: {err}", file=sys.stderr)
+        return 2
     except OSError as err:
         print(f"srcf: i/o error: {err}", file=sys.stderr)
         return 1

@@ -7,7 +7,10 @@ SIF3/SIF5/QSIF5/MC), and the correction step is the standard linear update.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,6 +57,12 @@ class StateSpaceModel:
     :class:`VectorFunction` instances (use ``vectorized=True`` for functions
     that accept (P, n) stacks; that is the fast path).  ``w ~ N(0, q)`` and
     ``v ~ N(0, r)``.
+
+    The points passed to ``f`` and ``h`` (the (P, n) stack of a vectorized
+    function, or each (n,) row of it for a plain callable) live in a buffer
+    the filter reuses on its next phase: they are valid only during the
+    call, so a function that keeps them must keep a copy.  Returning them,
+    or any array computed from them, is fine.
     """
 
     f: Callable | VectorFunction
@@ -105,15 +114,67 @@ def _model_values(fn: VectorFunction, x: np.ndarray, out_dim: int, name: str) ->
     return vals
 
 
-def _centred_moments(vals: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fresh_array(slot: int, shape: tuple[int, int]) -> np.ndarray:
+    return np.empty(shape)
+
+
+class _PhaseScratch(threading.local):
+    """Grow-only float64 buffers that one thread's filter phases reuse.
+
+    Slot 0 holds the sigma points x and, once the model values no longer
+    need them, the weighted copy of the centred values; slot 1 holds the
+    centred values ([x, h(x)] centred in place, or f(x) - mean).  Fresh
+    (points, n) arrays on every phase are large enough that the allocator
+    returns their pages to the system and faults them in again on the next
+    phase; reused buffers avoid that.  The weighted copy reuses the points'
+    slot because a third resident buffer raised the peak memory above that
+    of fresh arrays.  An array taken from a slot is valid until the
+    thread's next phase, so nothing a phase returns may alias one.
+
+    Used as ``with _scratch as arrays:``, which yields ``arrays(slot,
+    shape)``.  A phase entered while another phase of the same thread holds
+    the scratch (a model function that runs a filter phase itself) gets
+    fresh arrays instead.
+    """
+
+    def __init__(self):
+        self.depth = 0
+        self.slots = [np.empty(0), np.empty(0)]
+
+    def _take(self, slot: int, shape: tuple[int, int]) -> np.ndarray:
+        size = math.prod(shape)
+        if self.slots[slot].size < size:
+            self.slots[slot] = np.empty(size)
+        return self.slots[slot][:size].reshape(shape)
+
+    def __enter__(self) -> Callable[[int, tuple[int, int]], np.ndarray]:
+        self.depth += 1
+        return self._take if self.depth == 1 else _fresh_array
+
+    def __exit__(self, *exc) -> None:
+        self.depth -= 1
+
+
+_scratch = _PhaseScratch()
+
+
+def _centred_moments(
+    vals: np.ndarray,
+    w: np.ndarray,
+    arrays: Callable[[int, tuple[int, int]], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
     """Weighted mean and centred Gram matrix sum_p w_p (v_p - mean)(v_p - mean)^T.
 
     With weights summing to one this equals E[v v^T] - mean mean^T, but
-    does not cancel two large numbers when the mean dwarfs the spread.
+    does not cancel two large numbers when the mean dwarfs the spread.  The
+    deviations go to ``arrays(1, ...)`` (``vals`` itself when it already
+    lives there) and their weighted copy to ``arrays(0, ...)``, which may
+    hold the sigma points that ``vals`` was computed from.
     """
     mean = w @ vals
-    dev = vals - mean
-    return mean, symmetrize((dev.T * w) @ dev)
+    dev = np.subtract(vals, mean, out=arrays(1, vals.shape))
+    wdev = np.multiply(dev, w[:, None], out=arrays(0, vals.shape))
+    return mean, symmetrize(wdev.T @ dev)
 
 
 def _require_finite(step_name: str, **arrays) -> None:
@@ -160,8 +221,10 @@ def predict_state(
     """
     if prior.dim != model.n:
         raise ValueError(f"prior dimension {prior.dim} != model state dimension {model.n}")
-    x, w = sigma_points(prior, scheme, rng)
-    mean, cov = _centred_moments(_model_values(model.f, x, model.n, "transition function"), w)
+    with _scratch as arrays:
+        x, w = sigma_points(prior, scheme, rng, alloc=partial(arrays, 0))
+        fx = _model_values(model.f, x, model.n, "transition function")
+        mean, cov = _centred_moments(fx, w, arrays)
     cov = cov + model.q
     _require_finite("state prediction", mean=mean, cov=cov)
     return GaussianBelief(mean=mean, cov=cov)
@@ -190,9 +253,13 @@ def predict_observation(
     if pred.dim != model.n:
         raise ValueError(f"belief dimension {pred.dim} != model state dimension {model.n}")
     n = model.n
-    x, w = sigma_points(pred, scheme, rng)
-    h = _model_values(model.h, x, model.m, "observation function")
-    mean, joint = _centred_moments(np.hstack([x, h]), w)
+    with _scratch as arrays:
+        x, w = sigma_points(pred, scheme, rng, alloc=partial(arrays, 0))
+        h = _model_values(model.h, x, model.m, "observation function")
+        xh = arrays(1, (x.shape[0], n + model.m))
+        xh[:, :n] = x
+        xh[:, n:] = h
+        mean, joint = _centred_moments(xh, w, arrays)
     _require_finite("observation prediction", y_hat=mean, joint_moments=joint)
     y_hat, pxy, pyy_raw = mean[n:], joint[:n, n:], joint[n:, n:]
     if not _observation_estimate_usable(joint):

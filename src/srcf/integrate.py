@@ -105,7 +105,7 @@ def _evaluate(f: VectorFunction, x: np.ndarray) -> np.ndarray:
         idx = int(np.argwhere(bad.reshape(vals.shape[0], -1).any(axis=1))[0, 0])
         raise IntegrandError(
             f"integrand returned non-finite output at point index {idx}, x={x[idx]}",
-            point=x[idx],
+            point=x[idx].copy(),
             index=idx,
         )
     return vals
@@ -115,12 +115,17 @@ def sigma_points(
     belief: GaussianBelief,
     scheme: IntegrationScheme,
     rng: RngStream,
+    alloc: Callable[[tuple[int, int]], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The state-space points and weights of one integral under the belief.
 
     Takes one square root of the covariance and one batch of ``scheme.n_m``
     rule draws, maps every draw's points through x = mean + L c and stacks
     them; the repetition average is folded into the weights.
+
+    ``alloc(shape)``, when given, returns the C-contiguous float64 array that
+    x is written into (the filter phases pass a reused buffer); by default x
+    is a fresh array.
 
     Returns
     -------
@@ -132,7 +137,9 @@ def sigma_points(
     scheme.validate_dim(n)
     root = spd_sqrt(belief.cov)
     points, weights = draw_rule_batch(scheme, n, scheme.n_m, rng)
-    x = belief.mean + points.reshape(-1, n) @ root.T
+    points = points.reshape(-1, n)
+    x = np.matmul(points, root.T, out=None if alloc is None else alloc(points.shape))
+    x += belief.mean
     return x, weights.reshape(-1) / scheme.n_m
 
 

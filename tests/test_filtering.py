@@ -1,6 +1,11 @@
+import platform
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from srcf import filtering
 from srcf.bench import GrowthModel, simulate_trajectory
 from srcf.filtering import (
     DivergenceError,
@@ -336,3 +341,131 @@ class TestFallbackPolicy:
                 belief = correct(pred, obs, y)
                 unchanged = np.array_equal(belief.mean, pred.mean) and np.array_equal(belief.cov, pred.cov)
                 assert not unchanged, f"run {run} step {k}: correction skipped"
+
+
+def _assert_same_posteriors(a, b):
+    assert len(a) == len(b)
+    for pa, pb in zip(a, b):
+        np.testing.assert_array_equal(pa.mean, pb.mean)
+        np.testing.assert_array_equal(pa.cov, pb.cov)
+
+
+def _growth_run(n, label, n_m, steps=4):
+    """The ``run_filter`` arguments of a short growth-model run at dimension n."""
+    model = GrowthModel(q=2, n=n)
+    _, ys = simulate_trajectory(model, steps, RngStream(23).substream("trajectory", n))
+    return model.state_space(), scheme(label, n_m=n_m), ys, model.init_belief(), RngStream(24, stream_id=n)
+
+
+class TestPhaseScratch:
+    """The filter phases reuse per-thread point buffers; results must not notice."""
+
+    def test_results_survive_later_phases(self):
+        def assert_own_memory(*arrays):
+            for arr in arrays:
+                assert not any(np.shares_memory(arr, slot) for slot in filtering._scratch.slots)
+
+        small, sch, _, init, rng = _growth_run(4, "sif5", 3)
+        pred = predict_state(init, small, sch, rng.substream(0, 0))
+        assert_own_memory(pred.mean, pred.cov)
+        obs = predict_observation(pred, small, sch, rng.substream(0, 1))
+        assert_own_memory(obs.y_hat, obs.pxy, obs.pyy)
+        kept = [pred.mean, pred.cov, obs.y_hat, obs.pxy, obs.pyy]
+        copies = [arr.copy() for arr in kept]
+        predict_observation(predict_state(pred, small, sch, rng.substream(1, 0)), small, sch,
+                            rng.substream(1, 1))
+        large, sch20, _, init20, _ = _growth_run(20, "sif5", 10)  # grows every slot
+        predict_observation(predict_state(init20, large, sch20, rng.substream(2, 0)), large, sch20,
+                            rng.substream(2, 1))
+        for arr, copy in zip(kept, copies):
+            np.testing.assert_array_equal(arr, copy)
+
+    def test_concurrent_runs_match_sequential(self):
+        cases = [_growth_run(20, "sif5", 10), _growth_run(10, "sif3", 50)] * 2  # more threads than CPUs
+        expected = [run_filter(*case) for case in cases[:2]] * 2
+        results = [None] * len(cases)
+        start = threading.Barrier(len(cases))
+
+        def work(i):
+            start.wait(timeout=60)
+            results[i] = run_filter(*cases[i])
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(cases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got, want in zip(results, expected):
+            _assert_same_posteriors(got, want)
+
+    def test_model_running_a_phase_inside_h(self):
+        n = 3
+        sch = scheme("sif5", n_m=3)
+        inner_model = linear_model(np.eye(n) * 0.5, np.eye(n), np.eye(n), np.eye(n))
+        inner_prior = GaussianBelief(np.arange(1.0, n + 1), 2.0 * np.eye(n))
+
+        def inner_offset():
+            return predict_state(inner_prior, inner_model, sch, RngStream(25)).mean[0]
+
+        def nested_h(x):
+            offset = inner_offset()  # same point count as the outer phase
+            return (x * x).sum(axis=1) + offset
+
+        offset = inner_offset()
+
+        def plain_h(x):
+            return (x * x).sum(axis=1) + offset
+
+        def model(h):
+            return StateSpaceModel(f=VectorFunction(lambda x: 0.9 * x, vectorized=True),
+                                   h=VectorFunction(h, vectorized=True),
+                                   q=np.eye(n), r=np.eye(1), n=n, m=1)
+
+        ys = np.random.default_rng(26).standard_normal((8, 1)) + 10.0
+        init = GaussianBelief(np.ones(n), np.eye(n))
+        _assert_same_posteriors(run_filter(model(nested_h), sch, ys, init, RngStream(27)),
+                                run_filter(model(plain_h), sch, ys, init, RngStream(27)))
+
+    def test_model_returning_its_input(self):
+        n = 3
+
+        def model(copy):
+            fn = (lambda x: x.copy()) if copy else (lambda x: x)
+            return StateSpaceModel(f=VectorFunction(fn, vectorized=True),
+                                   h=VectorFunction(fn, vectorized=True),
+                                   q=np.eye(n), r=np.eye(n), n=n, m=n)
+
+        ys = np.random.default_rng(28).standard_normal((8, n))
+        init = GaussianBelief(np.zeros(n), np.eye(n))
+        sch = scheme("sif5", n_m=3)
+        _assert_same_posteriors(run_filter(model(False), sch, ys, init, RngStream(29)),
+                                run_filter(model(True), sch, ys, init, RngStream(29)))
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="page-fault counts reflect glibc's allocator")
+    def test_sif5_steps_do_not_fault_pages(self):
+        # fresh (points, n) arrays on every phase let glibc return their pages to the
+        # system and fault them in again on the next phase: about 3000 minor faults
+        # per step at n = 20
+        import resource
+
+        ssm, sch, ys, belief, rng = _growth_run(20, "sif5", 10, steps=23)
+
+        def step(k, belief):
+            pred = predict_state(belief, ssm, sch, rng.substream(k, 0))
+            obs = predict_observation(pred, ssm, sch, rng.substream(k, 1))
+            return correct(pred, obs, ys[k])
+
+        for k in range(3):
+            belief = step(k, belief)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for k in range(3, 23):
+            belief = step(k, belief)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults / 20 < 50, f"{faults / 20:.0f} minor page faults per sif5 step at n = 20"
