@@ -16,7 +16,7 @@ import numpy as np
 from .filtering import DivergenceError, StateSpaceModel, run_filter
 from .integrate import GaussianBelief, VectorFunction, expect
 from .rng import RngStream
-from .rules import IntegrationScheme, reported_eval_count
+from .rules import IntegrationScheme, points_per_draw, reported_eval_count
 
 __all__ = [
     "GrowthModel",
@@ -56,6 +56,9 @@ SCHEME_VARIANT_NOTES = {
     "mc": "i.i.d. standard-normal sampling",
 }
 
+# Points evaluated per lockstep batch of integral-study runs: large enough to
+# amortize the per-call overhead, small enough to keep the study's memory flat.
+_BATCH_POINTS = 4096
 _OVERFLOW_LIMIT = 1e280
 _MAX_TRAJECTORY_RESAMPLES = 10
 
@@ -83,11 +86,16 @@ def true_integral_sum_powers(n: int) -> float:
 def g_sum_powers(x: np.ndarray) -> np.ndarray | float:
     """sum_i x_i^i with 1-based powers, over the last axis.
 
-    Accepts a single (n,) vector or a (..., n) stack.
+    Accepts a single (n,) vector or a (..., n) stack.  The powers are a
+    running product over the coordinates, laid out one coordinate per row:
+    several times faster than a float ``pow``, at up to i - 1 roundings in
+    x_i^i instead of one.
     """
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[-1]
-    vals = (x ** np.arange(1, n + 1)).sum(axis=-1)
+    coords = np.moveaxis(np.asarray(x, dtype=np.float64), -1, 0)
+    powers = np.array(coords, order="C")
+    for k in range(1, coords.shape[0]):
+        powers[k:] *= coords[k:]
+    vals = powers.sum(axis=0)
     return float(vals) if vals.ndim == 0 else vals
 
 
@@ -116,11 +124,17 @@ def run_integral_bench(
 
     Stochastic schemes are evaluated ``runs`` times on independent
     substreams; deterministic schemes once (their max and mean coincide).
-    Relative errors are reported in percent of the exact value.
+    The runs go through `expect` in lockstep batches of at most
+    ``_BATCH_POINTS`` points; each run still draws from its own substream
+    (label, r), so every estimate equals that of a lone `expect` call.
+    Relative errors are reported in percent of the exact value, which must
+    be nonzero (n >= 2).
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     truth = true_integral_sum_powers(n)
+    if truth == 0.0:
+        raise ValueError(f"the true value is 0 at n={n}, so relative errors are undefined")
     belief = GaussianBelief(mean=np.zeros(n), cov=np.eye(n))
     integrand = VectorFunction(g_sum_powers, vectorized=True)
 
@@ -129,9 +143,11 @@ def run_integral_bench(
     for scheme in schemes:
         label = scheme.label
         n_runs = 1 if scheme.kind.deterministic else runs
-        estimates = np.array([
-            float(expect(integrand, belief, scheme, rng.substream(label, r)))
-            for r in range(n_runs)
+        batch = max(1, _BATCH_POINTS // (scheme.n_m * points_per_draw(scheme, n)))
+        estimates = np.concatenate([
+            expect(integrand, belief, scheme,
+                   [rng.substream(label, r) for r in range(start, min(start + batch, n_runs))])
+            for start in range(0, n_runs, batch)
         ])
         rel_err = np.abs(truth - estimates) / abs(truth) * 100.0
         if scheme.kind.deterministic:

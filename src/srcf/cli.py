@@ -226,6 +226,9 @@ def parse_config(argv) -> BenchConfig:
         nm = _parse_nm_items([options["nm"][1], file_vals.get("nm", ""), *(args["nm"] or [])])
 
     n = values["n"]
+    if command == "integral-bench" and n < 2:
+        # the integral is 0 at n = 1, so relative errors are undefined
+        raise ValueError(f"integral-bench needs --n >= 2, got {n}")
     mc_samples = values.get("mc-samples")
     schemes = []
     for label in values["schemes"].split(","):

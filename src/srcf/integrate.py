@@ -11,6 +11,7 @@ function, which keeps derived covariances internally consistent.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
 
@@ -114,7 +115,7 @@ def _evaluate(f: VectorFunction, x: np.ndarray) -> np.ndarray:
 def sigma_points(
     belief: GaussianBelief,
     scheme: IntegrationScheme,
-    rng: RngStream,
+    rng: RngStream | Sequence[RngStream],
     alloc: Callable[[tuple[int, int]], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The state-space points and weights of one integral under the belief.
@@ -123,15 +124,21 @@ def sigma_points(
     rule draws, maps every draw's points through x = mean + L c and stacks
     them; the repetition average is folded into the weights.
 
+    ``rng`` is one stream or a sequence of S streams.  A sequence gives S
+    independent integrals in lockstep: one square root, one rule draw over
+    all streams and one transform, with the points of stream s in block s of
+    x and its weights in row s of w.  Each block equals what that stream
+    alone gives, bit for bit.
+
     ``alloc(shape)``, when given, returns the C-contiguous float64 array that
     x is written into (the filter phases pass a reused buffer); by default x
     is a fresh array.
 
     Returns
     -------
-    x : (n_m * P, n) array
-    w : (n_m * P,) array
-        Sums to one, so E[f(x)] is estimated by ``w @ f(x)``.
+    x : (n_m * P, n) array, or (S * n_m * P, n) for a sequence
+    w : (n_m * P,) array, or (S, n_m * P) for a sequence
+        Each row sums to one, so E[f(x)] is estimated by ``w @ f(x)``.
     """
     n = belief.dim
     scheme.validate_dim(n)
@@ -140,31 +147,38 @@ def sigma_points(
     points = points.reshape(-1, n)
     x = np.matmul(points, root.T, out=None if alloc is None else alloc(points.shape))
     x += belief.mean
-    return x, weights.reshape(-1) / scheme.n_m
+    w = weights.reshape(-1, scheme.n_m * weights.shape[1]) / scheme.n_m
+    return x, (w[0] if isinstance(rng, RngStream) else w)
 
 
 def expect_batch(
     fns,
     belief: GaussianBelief,
     scheme: IntegrationScheme,
-    rng: RngStream,
+    rng: RngStream | Sequence[RngStream],
 ) -> list[np.ndarray]:
     """Estimate E[f(x)] for several functions on shared rule draws.
 
     All functions see the same sigma points (same radii and rotation per
     repetition), so moment combinations such as E[f f^T] - E[f] E[f]^T stay
-    consistent.
+    consistent.  With a sequence of streams each function is evaluated once
+    on the points of every stream (see `sigma_points`).
 
     Returns
     -------
-    list of arrays, one per function, each with the function's output shape.
+    list of arrays, one per function, each with the function's output shape,
+    or (S, *output shape) with one estimate per stream for a sequence.
     """
     fns = [_as_vector_function(f) for f in fns]
     x, w = sigma_points(belief, scheme, rng)
+    rows = w.reshape(-1, w.shape[-1])
     out = []
     for f in fns:
         vals = _evaluate(f, x)
-        out.append((w @ vals.reshape(w.shape[0], -1)).reshape(vals.shape[1:]))
+        blocks = vals.reshape(rows.shape + (-1,))
+        # one weighted sum per stream, each the same product a lone stream takes
+        est = np.stack([row @ block for row, block in zip(rows, blocks)])
+        out.append(est.reshape(w.shape[:-1] + vals.shape[1:]))
     return out
 
 
@@ -172,7 +186,10 @@ def expect(
     s,
     belief: GaussianBelief,
     scheme: IntegrationScheme,
-    rng: RngStream,
+    rng: RngStream | Sequence[RngStream],
 ) -> np.ndarray:
-    """Estimate E[s(x)] under the belief with one scheme evaluation."""
+    """Estimate E[s(x)] under the belief with one scheme evaluation.
+
+    With a sequence of S streams, returns the S estimates, one per stream.
+    """
     return expect_batch([s], belief, scheme, rng)[0]

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
-from .rng import RngStream
+from .rng import RngStream, as_streams, standard_normal_stack
 
 __all__ = ["spd_sqrt", "haar_orthogonal_batch", "symmetrize"]
 
@@ -61,23 +63,27 @@ def spd_sqrt(p: np.ndarray) -> np.ndarray:
     return v * np.sqrt(w)
 
 
-def haar_orthogonal_batch(n: int, size: int, rng: RngStream) -> np.ndarray:
-    """Draw ``size`` independent Haar-uniform orthogonal matrices.
+def haar_orthogonal_batch(n: int, size: int, rng: RngStream | Sequence[RngStream]) -> np.ndarray:
+    """Draw ``size`` independent Haar-uniform orthogonal matrices per stream.
 
     Takes the Q factor of the QR decomposition of an n x n standard-normal
     matrix and multiplies each column by the sign of the matching diagonal
     entry of R.  The sign fix makes the factorization unique, which is what
     turns "some orthogonal Q" into a draw from the Haar measure.
 
+    ``rng`` is one stream or a sequence of streams; each stream supplies
+    ``size`` matrices, stacked in stream order, and one QR runs over the
+    whole stack.
+
     Returns
     -------
-    (size, n, n) array
+    (len(streams) * size, n, n) array
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if size < 1:
         raise ValueError("size must be >= 1")
-    x = rng.generator.standard_normal((size, n, n))
+    x = standard_normal_stack(as_streams(rng), size, (n, n))
     q, r = np.linalg.qr(x)
     d = np.einsum("...ii->...i", r)
     ph = np.sign(d) + (d == 0)  # zero diagonal has probability zero

@@ -14,7 +14,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["RngStream"]
+__all__ = ["RngStream", "as_streams", "standard_normal_stack"]
 
 _MASK32 = 0xFFFFFFFF
 SEED_MAX = 0xFFFFFFFFFFFFFFFF  # master seeds are unsigned 64-bit ints
@@ -93,3 +93,23 @@ class RngStream:
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, path={self.path})"
+
+
+def as_streams(rng) -> tuple[RngStream, ...]:
+    """One stream, or a non-empty sequence of streams, as a tuple of streams."""
+    streams = (rng,) if isinstance(rng, RngStream) else tuple(rng)
+    if not streams:
+        raise ValueError("at least one stream is required")
+    return streams
+
+
+def standard_normal_stack(streams, size: int, shape: tuple) -> np.ndarray:
+    """``size`` standard-normal arrays of ``shape`` from each stream, stacked.
+
+    Returns a (len(streams) * size, *shape) array whose block i is what
+    ``streams[i].generator.standard_normal((size, *shape))`` would return.
+    """
+    out = np.empty((len(streams) * size, *shape))
+    for i, stream in enumerate(streams):
+        stream.generator.standard_normal(out=out[i * size:(i + 1) * size])
+    return out

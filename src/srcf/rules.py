@@ -22,6 +22,7 @@ MC      plain Monte-Carlo: i.i.d. standard-normal points, equal weights.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -29,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import haar_orthogonal_batch
-from .rng import RngStream
+from .rng import RngStream, as_streams, standard_normal_stack
 from .samplers import _radial_pair_batch, sample_chi
 
 __all__ = [
@@ -41,6 +42,7 @@ __all__ = [
     "simplex_midpoints",
     "spherical_weights_deg5",
     "draw_rule_batch",
+    "points_per_draw",
     "reported_eval_count",
     "gaussian_monomial_moment",
 ]
@@ -273,25 +275,32 @@ def _symmetric_rule(dirs, sphere_w, radii, center_w, radial_w):
 
 
 def draw_rule_batch(
-    scheme: IntegrationScheme, n: int, size: int, rng: RngStream
+    scheme: IntegrationScheme, n: int, size: int, rng: RngStream | Sequence[RngStream]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``size`` independent realizations of a scheme's point set.
+    """Draw ``size`` independent realizations of a scheme's point set per stream.
+
+    ``rng`` is one stream or a sequence of streams.  Each stream supplies
+    ``size`` draws, stacked in stream order, and consumes its variates in the
+    same order as a call with that stream alone (radii, redraws included,
+    then the rotation), so the result equals the concatenation of the
+    single-stream calls bit for bit.  The rotation and point assembly run
+    once over the whole stack.
 
     Returns
     -------
-    points : (size, P, n) array
-    weights : (size, P) array
+    points : (len(streams) * size, P, n) array
+    weights : (len(streams) * size, P) array
         Each row sums to one.
 
     Notes
     -----
-    Sampling order per draw is fixed (radii before rotation) so results are
-    reproducible from the stream state.  Deterministic schemes tile a single
-    construction.
+    Deterministic schemes tile a single construction and draw nothing.
     """
     scheme.validate_dim(n)
     if size < 1:
         raise ValueError("size must be >= 1")
+    streams = as_streams(rng)
+    total = len(streams) * size
     kind = scheme.kind
 
     if kind is SchemeKind.CKF3:
@@ -299,19 +308,17 @@ def draw_rule_batch(
         pts = np.sqrt(n) * np.concatenate([eye, -eye], axis=0)
         w = np.full(2 * n, 1.0 / (2 * n))
         return (
-            np.broadcast_to(pts, (size, 2 * n, n)).copy(),
-            np.broadcast_to(w, (size, 2 * n)).copy(),
+            np.broadcast_to(pts, (total, 2 * n, n)).copy(),
+            np.broadcast_to(w, (total, 2 * n)).copy(),
         )
 
     if kind is SchemeKind.MC:
         m = scheme.mc_samples
-        pts = rng.generator.standard_normal((size, m, n))
-        w = np.full((size, m), 1.0 / m)
-        return pts, w
+        return standard_normal_stack(streams, size, (m, n)), np.full((total, m), 1.0 / m)
 
     if kind is SchemeKind.SIF3:
-        rho = sample_chi(n + 2, rng, size=size)
-        q = haar_orthogonal_batch(n, size, rng)
+        rho = np.concatenate([sample_chi(n + 2, s, size=size) for s in streams])
+        q = haar_orthogonal_batch(n, size, streams)
         w0, w1 = radial_weights_deg3(n, rho)
         # the random axes Q e_i are the rows of Q^T
         axes = np.swapaxes(q, 1, 2)
@@ -320,21 +327,39 @@ def draw_rule_batch(
     # Fifth-degree family: simplex surface rule composed with a radial rule.
     dirs, sphere_w = _simplex_directions(n)
     if kind is SchemeKind.SIF5:
-        rho1, rho2 = _radial_pair_batch(n, size, rng)
-        w0, w1, w2 = radial_weights_deg5(n, rho1, rho2)
-        radii, radial_w = np.stack([rho1, rho2], axis=1), np.stack([w1, w2], axis=1)
+        radii = np.concatenate([np.stack(_radial_pair_batch(n, size, s), axis=1) for s in streams])
+        w0, w1, w2 = radial_weights_deg5(n, radii[:, 0], radii[:, 1])
+        radial_w = np.stack([w1, w2], axis=1)
     elif kind in (SchemeKind.CKF5, SchemeKind.QSIF5):
         # Two-node radial rule with one node pinned at zero: matching the
         # radial moments (1, n, n(n+2)) forces rho^2 = n + 2.
-        rho = np.full(size, np.sqrt(n + 2.0))
+        rho = np.full(total, np.sqrt(n + 2.0))
         w0, w1 = radial_weights_deg3(n, rho)
         radii, radial_w = rho[:, None], w1[:, None]
     else:
         raise ValueError(f"unsupported scheme kind {kind!r}")
     if kind is not SchemeKind.CKF5:
-        q = haar_orthogonal_batch(n, size, rng)
+        q = haar_orthogonal_batch(n, size, streams)
         dirs = dirs @ np.swapaxes(q, 1, 2)  # rows Q d for every direction d
     return _symmetric_rule(dirs, sphere_w, radii, w0, radial_w)
+
+
+def points_per_draw(scheme: IntegrationScheme, n: int) -> int:
+    """P, the number of points in one draw of ``draw_rule_batch``.
+
+    Unlike `reported_eval_count` this counts every returned point: each
+    draw's centre and both points of every +- pair.
+    """
+    kind = scheme.kind
+    if kind is SchemeKind.CKF3:
+        return 2 * n
+    if kind is SchemeKind.MC:
+        return scheme.mc_samples
+    if kind is SchemeKind.SIF3:
+        return 1 + 2 * n
+    # centre plus +- every simplex direction ((n+1)(n+2)/2 of them) per radius
+    radii = 2 if kind is SchemeKind.SIF5 else 1
+    return 1 + radii * (n + 1) * (n + 2)
 
 
 def reported_eval_count(scheme: IntegrationScheme, n: int) -> int:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,10 @@ from srcf.bench import (
     true_integral_sum_powers,
 )
 from srcf.filtering import DivergenceError
-from srcf.integrate import GaussianBelief, VectorFunction
+from srcf.integrate import GaussianBelief, VectorFunction, expect
 from srcf.filtering import StateSpaceModel
 from srcf.rng import RngStream
-from srcf.rules import IntegrationScheme
+from srcf.rules import IntegrationScheme, points_per_draw
 
 from oracles import normal_power_moment_quad
 
@@ -50,6 +52,21 @@ class TestGSumPowers:
         batch = g_sum_powers(xs)
         np.testing.assert_allclose(batch, [g_sum_powers(x) for x in xs], rtol=1e-14)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 10])
+    def test_agrees_with_float_pow(self, n):
+        # the running product rounds differently from pow; bound fixed from the dtype
+        gen = np.random.default_rng(n)
+        xs = 1.5 * gen.standard_normal((4, 500, n))
+        powers = np.arange(1, n + 1)
+        reference = (xs ** powers).sum(axis=-1)
+        bound = n * np.finfo(np.float64).eps * (np.abs(xs) ** powers).sum(axis=-1)
+        assert np.all(np.abs(g_sum_powers(xs) - reference) <= bound)
+
+    def test_leaves_its_input_unchanged(self):
+        x = np.array([2.0, 3.0, 4.0])
+        g_sum_powers(x)
+        np.testing.assert_array_equal(x, [2.0, 3.0, 4.0])
+
 
 class TestIntegralBench:
     def test_deterministic_rows_reproducible_and_ordered(self):
@@ -82,6 +99,68 @@ class TestIntegralBench:
         ]
         report = run_integral_bench(6, schemes, 1, RngStream(8))
         assert [r.points for r in report.rows] == [12, 57, 601, 570, 561, 600]
+
+
+def per_run_rows(n, schemes, runs, rng):
+    """The study's rows rebuilt from one `expect` call per run, the reference."""
+    truth = true_integral_sum_powers(n)
+    belief = GaussianBelief(np.zeros(n), np.eye(n))
+    integrand = VectorFunction(g_sum_powers, vectorized=True)
+    rows = []
+    for sch in schemes:
+        n_runs = 1 if sch.kind.deterministic else runs
+        est = np.array([
+            float(expect(integrand, belief, sch, rng.substream(sch.label, r))) for r in range(n_runs)
+        ])
+        rel_err = np.abs(truth - est) / abs(truth) * 100.0
+        rows.append((sch.label, float(rel_err.max()), float(rel_err.mean())))
+    return rows
+
+
+class TestLockstepStudy:
+    SCHEMES = [
+        scheme("ckf3"), scheme("ckf5"), scheme("sif3", n_m=50),
+        scheme("sif5", n_m=10), scheme("qsif5", n_m=10), scheme("mc"),
+    ]
+
+    def test_rows_equal_the_per_run_loop(self, monkeypatch):
+        n, runs = 6, 40
+        batches = {}
+        for sch in self.SCHEMES[2:]:
+            batch = bench_mod._BATCH_POINTS // (sch.n_m * points_per_draw(sch, n))
+            # several full batches plus a remainder for every stochastic scheme
+            assert runs >= 2 * batch and runs % batch
+            batches[sch.label] = -(-runs // batch)
+        calls = []
+        real_expect = bench_mod.expect
+
+        def counted(*args):
+            calls.append(args[2].label)
+            return real_expect(*args)
+
+        monkeypatch.setattr(bench_mod, "expect", counted)
+        report = run_integral_bench(n, self.SCHEMES, runs, RngStream(11))
+        assert [(r.scheme, r.re_max_pct, r.re_mean_pct) for r in report.rows] == per_run_rows(
+            n, self.SCHEMES, runs, RngStream(11)
+        )
+        for label, count in batches.items():
+            assert calls.count(label) == count
+
+    def test_memory_does_not_grow_with_runs(self):
+        schemes = [scheme("sif5", n_m=10), scheme("mc")]
+        peaks = []
+        for runs in (100, 1000):
+            tracemalloc.start()
+            try:
+                run_integral_bench(6, schemes, runs, RngStream(12))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0], peaks
+
+    def test_zero_true_value_rejected(self):
+        with pytest.raises(ValueError, match="relative errors are undefined"):
+            run_integral_bench(1, [scheme("ckf3"), scheme("mc")], 2, RngStream(13))
 
 
 class TestGrowthModel:

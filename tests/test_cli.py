@@ -179,9 +179,10 @@ class TestExitCodes:
             ["rule-check", "--n", "1", "--schemes", "qsif5"],
             ["rule-check", "--schemes", "mc"],
             ["filter-bench", "--q", "60", "--n", "2", "--nmc", "1", "--steps", "5"],
+            ["integral-bench", "--n", "1", "--schemes", "ckf3,sif3,mc", "--runs", "2"],
         ],
         ids=["runs-zero", "missing-config", "seed-too-large", "sif5-n1", "ckf5-n1",
-             "qsif5-n1", "rule-check-mc", "trajectory-overflow"],
+             "qsif5-n1", "rule-check-mc", "trajectory-overflow", "integral-n1"],
     )
     def test_bad_value_returns_2(self, argv, capsys):
         assert main(argv) == 2

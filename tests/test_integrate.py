@@ -79,6 +79,42 @@ class TestSigmaPoints:
         np.testing.assert_array_equal(expect(fn, belief, sch, RngStream(18)), w @ np.cos(x))
 
 
+class TestStreamSequence:
+    """A sequence of streams: one lockstep integral per stream."""
+
+    @pytest.mark.parametrize("label", ALL_LABELS)
+    def test_each_estimate_equals_a_lone_stream(self, label):
+        n = 5
+        belief = random_belief(n, 19)
+        sch = scheme(label, n_m=1 if label.startswith("ckf") else 3, mc=40)
+        fn = VectorFunction(lambda x: np.stack([np.sin(x).sum(axis=1), x[:, 0] ** 3], axis=1),
+                            vectorized=True)
+        streams = [RngStream(20).substream(label, r) for r in range(7)]
+        est = expect(fn, belief, sch, streams)
+        assert est.shape == (7, 2)
+        for row, stream in zip(est, [RngStream(20).substream(label, r) for r in range(7)]):
+            np.testing.assert_array_equal(row, expect(fn, belief, sch, stream))
+
+    def test_sigma_points_stack_one_block_per_stream(self):
+        n, sch = 3, scheme("sif5", n_m=2)
+        belief = random_belief(n, 21)
+        x, w = sigma_points(belief, sch, [RngStream(22).substream(r) for r in range(4)])
+        assert w.shape[0] == 4 and x.shape == (w.size, n)
+        for r, block in enumerate(np.split(x, 4)):
+            x1, w1 = sigma_points(belief, sch, RngStream(22).substream(r))
+            np.testing.assert_array_equal(block, x1)
+            np.testing.assert_array_equal(w[r], w1)
+
+    def test_non_finite_check_covers_every_stream(self):
+        # only the last point of the last stream is bad
+        fn = VectorFunction(lambda x: np.where(np.arange(len(x)) == len(x) - 1, np.nan, 1.0),
+                            vectorized=True)
+        sch = scheme("sif3")
+        with pytest.raises(IntegrandError) as err:
+            expect(fn, random_belief(2, 23), sch, [RngStream(24).substream(r) for r in range(3)])
+        assert err.value.index == 3 * (2 * 2 + 1) - 1
+
+
 class TestBatchSemantics:
     def test_batch_of_one_equals_expect(self):
         belief = random_belief(3, 5)

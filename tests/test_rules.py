@@ -9,6 +9,7 @@ from srcf.rules import (
     SchemeKind,
     draw_rule_batch,
     gaussian_monomial_moment,
+    points_per_draw,
     radial_weights_deg3,
     radial_weights_deg5,
     reported_eval_count,
@@ -16,6 +17,7 @@ from srcf.rules import (
     simplex_vertices,
     spherical_weights_deg5,
 )
+from srcf import samplers
 from srcf.samplers import _radial_pair_batch, sample_chi
 
 from oracles import monomial_moment
@@ -239,6 +241,54 @@ class TestBuildRule:
         np.testing.assert_allclose(w[:, 1:], np.repeat(w1[:, None] / (2 * n), 2 * n, axis=1), rtol=1e-15)
 
 
+class TestStreamSequence:
+    """``draw_rule_batch`` over a sequence of streams, the lockstep draw."""
+
+    @staticmethod
+    def assert_equals_single_calls(label, n, size, make_streams):
+        sch = scheme(label, n_m=1, mc=30)
+        streams, lone = make_streams(), make_streams()
+        pts, w = draw_rule_batch(sch, n, size, streams)
+        singles = [draw_rule_batch(sch, n, size, s) for s in lone]
+        np.testing.assert_array_equal(pts, np.concatenate([p for p, _ in singles]))
+        np.testing.assert_array_equal(w, np.concatenate([q for _, q in singles]))
+        # every stream is left where a lone call leaves it
+        for a, b in zip(streams, lone):
+            np.testing.assert_array_equal(a.generator.standard_normal(2), b.generator.standard_normal(2))
+
+    @pytest.mark.parametrize("n", [2, 6, 10])
+    @pytest.mark.parametrize("label", ALL_LABELS)
+    def test_equals_concatenated_single_calls(self, label, n):
+        self.assert_equals_single_calls(
+            label, n, 3, lambda: [RngStream(51).substream(label, n, i) for i in range(5)]
+        )
+
+    def test_sif5_radial_redraws_stay_on_their_stream(self, monkeypatch):
+        n, size = 6, 4
+
+        def make_streams():
+            return [RngStream(52).substream(i) for i in range(6)]
+
+        plain, _ = draw_rule_batch(scheme("sif5"), n, size, make_streams())
+        # a tolerance this coarse rejects some radius pair of every stream
+        monkeypatch.setattr(samplers, "_DEGENERATE_TOL", 1.5)
+        redrawn, _ = draw_rule_batch(scheme("sif5"), n, size, make_streams())
+        for block in range(6):
+            rows = slice(block * size, (block + 1) * size)
+            assert not np.array_equal(plain[rows], redrawn[rows])
+        self.assert_equals_single_calls("sif5", n, size, make_streams)
+
+    def test_one_element_sequence_equals_the_stream(self):
+        a = draw_rule_batch(scheme("qsif5"), 4, 2, RngStream(53))
+        b = draw_rule_batch(scheme("qsif5"), 4, 2, [RngStream(53)])
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
+
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(ValueError):
+            draw_rule_batch(scheme("sif3"), 3, 1, [])
+
+
 class TestPolynomialExactness:
     @staticmethod
     def _max_monomial_dev(points, weights, max_degree):
@@ -307,6 +357,13 @@ class TestEvalCounts:
         assert reported_eval_count(scheme("sif5", n_m=10), n) == 570
         assert reported_eval_count(scheme("qsif5", n_m=10), n) == 561
         assert reported_eval_count(scheme("mc", mc=600), n) == 600
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 10])
+    @pytest.mark.parametrize("label", ALL_LABELS)
+    def test_points_per_draw_is_the_drawn_size(self, label, n):
+        sch = scheme(label, mc=70)
+        points, _ = draw_rule_batch(sch, n, 1, RngStream(54))
+        assert points.shape[1] == points_per_draw(sch, n)
 
 
 class TestGaussianMonomialMoment:
