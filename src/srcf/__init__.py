@@ -34,7 +34,6 @@ from .integrate import (
     IntegrandError,
     VectorFunction,
     expect,
-    expect_batch,
     sigma_points,
 )
 from .linalg import spd_sqrt
@@ -74,7 +73,6 @@ __all__ = [
     "IntegrandError",
     "sigma_points",
     "expect",
-    "expect_batch",
     "StateSpaceModel",
     "PredictedObservation",
     "DivergenceError",

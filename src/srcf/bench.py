@@ -216,8 +216,11 @@ class GrowthModel:
 
     def observe(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        z = (1.0 + (x * x).sum(axis=-1)) ** 2
-        return z**self.q
+        # x^T x as a row dot product, without a (points, n) temporary; the
+        # powers run on an array even for one state (numpy's scalar power
+        # rounds differently), so a state gives what its row of a stack does
+        z = (1.0 + np.einsum("...i,...i->...", x, x).reshape(-1)) ** 2
+        return (z**self.q).reshape(x.shape[:-1])[()]
 
     def state_space(self) -> StateSpaceModel:
         return StateSpaceModel(

@@ -293,19 +293,20 @@ def correct(
     if not (np.all(np.isfinite(obs.pyy)) and np.all(np.isfinite(obs.pxy))):
         raise DivergenceError("observation moments are not finite")
     pyy = obs.pyy
+    # both moments are known finite here, so scipy's finiteness scans are skipped
     factor = None
     try:
-        factor = cho_factor(pyy, lower=True)
+        factor = cho_factor(pyy, lower=True, check_finite=False)
     except LinAlgError:
         jitter = max(1e-9 * abs(np.trace(pyy)) / m, np.finfo(np.float64).tiny)
         try:
-            factor = cho_factor(pyy + jitter * np.eye(m), lower=True)
+            factor = cho_factor(pyy + jitter * np.eye(m), lower=True, check_finite=False)
         except LinAlgError:
             pass
     if factor is None:
         # indefinite innovation covariance: skip the measurement
         return GaussianBelief(mean=pred.mean.copy(), cov=pred.cov.copy())
-    gain = cho_solve(factor, obs.pxy.T).T
+    gain = cho_solve(factor, obs.pxy.T, check_finite=False).T
     if not np.all(np.isfinite(gain)):
         raise DivergenceError("gain solve produced non-finite values")
     mean = pred.mean + gain @ (y - obs.y_hat)

@@ -2,11 +2,10 @@
 
 The integral is pulled back to standard-normal coordinates through the
 affine transform x = mean + L c with L a square root of cov, evaluated on a
-rule draw from :mod:`srcf.rules`, and averaged over the scheme's repetition
-count.  `sigma_points` returns those points with the repetition average
-folded into one weight vector; every estimate is a weighted sum over them.
-Batched evaluation (`expect_batch`) reuses the same draws for every
-function, which keeps derived covariances internally consistent.
+rule draw from :mod:`srcf.rules` (which writes its points in state space
+directly), and averaged over the scheme's repetition count.  `sigma_points`
+returns those points with the repetition average folded into one weight
+vector; every estimate is a weighted sum over them.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ __all__ = [
     "IntegrandError",
     "sigma_points",
     "expect",
-    "expect_batch",
 ]
 
 
@@ -120,15 +118,17 @@ def sigma_points(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The state-space points and weights of one integral under the belief.
 
-    Takes one square root of the covariance and one batch of ``scheme.n_m``
-    rule draws, maps every draw's points through x = mean + L c and stacks
-    them; the repetition average is folded into the weights.
+    Takes one square root L of the covariance and one batch of
+    ``scheme.n_m`` rule draws, which the rule layer writes directly as the
+    points x = mean + L c of every draw (L acting on each draw's directions,
+    not on its points), stacked; the repetition average is folded into the
+    weights.
 
     ``rng`` is one stream or a sequence of S streams.  A sequence gives S
-    independent integrals in lockstep: one square root, one rule draw over
-    all streams and one transform, with the points of stream s in block s of
-    x and its weights in row s of w.  Each block equals what that stream
-    alone gives, bit for bit.
+    independent integrals in lockstep: one square root and one rule draw
+    over all streams, with the points of stream s in block s of x and its
+    weights in row s of w.  Each block equals what that stream alone gives,
+    bit for bit.
 
     ``alloc(shape)``, when given, returns the C-contiguous float64 array that
     x is written into (the filter phases pass a reused buffer); by default x
@@ -143,43 +143,11 @@ def sigma_points(
     n = belief.dim
     scheme.validate_dim(n)
     root = spd_sqrt(belief.cov)
-    points, weights = draw_rule_batch(scheme, n, scheme.n_m, rng)
-    points = points.reshape(-1, n)
-    x = np.matmul(points, root.T, out=None if alloc is None else alloc(points.shape))
-    x += belief.mean
+    points, weights = draw_rule_batch(
+        scheme, n, scheme.n_m, rng, mean=belief.mean, root=root, alloc=alloc
+    )
     w = weights.reshape(-1, scheme.n_m * weights.shape[1]) / scheme.n_m
-    return x, (w[0] if isinstance(rng, RngStream) else w)
-
-
-def expect_batch(
-    fns,
-    belief: GaussianBelief,
-    scheme: IntegrationScheme,
-    rng: RngStream | Sequence[RngStream],
-) -> list[np.ndarray]:
-    """Estimate E[f(x)] for several functions on shared rule draws.
-
-    All functions see the same sigma points (same radii and rotation per
-    repetition), so moment combinations such as E[f f^T] - E[f] E[f]^T stay
-    consistent.  With a sequence of streams each function is evaluated once
-    on the points of every stream (see `sigma_points`).
-
-    Returns
-    -------
-    list of arrays, one per function, each with the function's output shape,
-    or (S, *output shape) with one estimate per stream for a sequence.
-    """
-    fns = [_as_vector_function(f) for f in fns]
-    x, w = sigma_points(belief, scheme, rng)
-    rows = w.reshape(-1, w.shape[-1])
-    out = []
-    for f in fns:
-        vals = _evaluate(f, x)
-        blocks = vals.reshape(rows.shape + (-1,))
-        # one weighted sum per stream, each the same product a lone stream takes
-        est = np.stack([row @ block for row, block in zip(rows, blocks)])
-        out.append(est.reshape(w.shape[:-1] + vals.shape[1:]))
-    return out
+    return points.reshape(-1, n), (w[0] if isinstance(rng, RngStream) else w)
 
 
 def expect(
@@ -188,8 +156,19 @@ def expect(
     scheme: IntegrationScheme,
     rng: RngStream | Sequence[RngStream],
 ) -> np.ndarray:
-    """Estimate E[s(x)] under the belief with one scheme evaluation.
+    """Estimate E[s(x)] under the belief as ``w @ s(x)`` over `sigma_points`.
 
-    With a sequence of S streams, returns the S estimates, one per stream.
+    With a sequence of S streams, s is evaluated once on the points of every
+    stream and the S estimates, one per stream, are returned.
+
+    Returns
+    -------
+    array with the output shape of s, or (S, *output shape) for a sequence.
     """
-    return expect_batch([s], belief, scheme, rng)[0]
+    x, w = sigma_points(belief, scheme, rng)
+    vals = _evaluate(_as_vector_function(s), x)
+    rows = w.reshape(-1, w.shape[-1])
+    blocks = vals.reshape(rows.shape + (-1,))
+    # one weighted sum per stream, each the same product a lone stream takes
+    est = np.stack([row @ block for row, block in zip(rows, blocks)])
+    return est.reshape(w.shape[:-1] + vals.shape[1:])

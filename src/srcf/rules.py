@@ -1,10 +1,13 @@
 """Weighted sigma-point sets for Gaussian-weighted integration.
 
-All rules live in standard-normal coordinates c ~ N(0, I) and factor into a
-radial part (radii with Lagrange-interpolation weights) and a spherical part
-(a degree-5 simplex surface rule, optionally under a random rotation).  Every
-point set stores probability-normalized weights: they sum to one, so constants
-are integrated exactly and no Gamma-function normalizers ever appear.
+All rules are defined in standard-normal coordinates c ~ N(0, I) and factor
+into a radial part (radii with Lagrange-interpolation weights) and a
+spherical part (a degree-5 simplex surface rule, optionally under a random
+rotation).  `draw_rule_batch` writes them out under N(mean, L L^T), with L
+acting on each draw's directions; standard coordinates are its defaults.
+Every point set stores probability-normalized weights: they sum to one, so
+constants are integrated exactly and no Gamma-function normalizers ever
+appear.
 
 Available schemes
 -----------------
@@ -22,7 +25,7 @@ MC      plain Monte-Carlo: i.i.d. standard-normal points, equal weights.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -252,32 +255,64 @@ def _simplex_directions(n: int) -> tuple[np.ndarray, np.ndarray]:
     return dirs, weights
 
 
-def _symmetric_rule(dirs, sphere_w, radii, center_w, radial_w):
-    """Centre plus +-r d for every radius r and direction d, with product weights.
+@lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    """The n x n identity: the square root of the standard-normal covariance,
+    and the ckf3 axes in standard-normal coordinates."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
 
-    ``dirs`` is (D, n), or (size, D, n) for per-draw rotated directions, and
-    ``sphere_w`` (D,) the weight of each +-direction point on the sphere.
-    ``radii`` and ``radial_w`` are (size, K); ``center_w`` is (size,).
-    Points are laid out as the centre, then for each radius +r dirs and
-    -r dirs.
+
+def _symmetric_rule(dirs, sphere_w, radii, center_w, radial_w, mean, alloc):
+    """The mean plus +-r d for every radius r and direction d, with product weights.
+
+    ``dirs`` is (D, n), or (size, D, n) for per-draw rotated directions,
+    already mapped to state space, and ``sphere_w`` (D,) the weight of each
+    +-direction point on the sphere.  ``radii`` and ``radial_w`` are
+    (size, K); ``center_w`` is (size,), or None for a rule without a centre.
+    Points are laid out as the centre (the mean), then for each radius
+    mean + r dirs and mean - r dirs, and are written into
+    ``alloc((size * P, n))``.
     """
     size, k = radii.shape
     d, n = dirs.shape[-2:]
-    points = np.empty((size, 1 + 2 * k * d, n))
-    points[:, 0] = 0.0
-    shell = points[:, 1:].reshape(size, k, 2, d, n)
-    np.multiply(radii[:, :, None, None], dirs[..., None, :, :], out=shell[:, :, 0])
-    np.negative(shell[:, :, 0], out=shell[:, :, 1])
-    weights = np.empty((size, 1 + 2 * k * d))
-    weights[:, 0] = center_w
-    weights[:, 1:].reshape(size, k, 2, d)[:] = (radial_w[:, :, None] * sphere_w)[:, :, None]
+    first = 0 if center_w is None else 1
+    p = first + 2 * k * d
+    points = alloc((size * p, n)).reshape(size, p, n)
+    weights = np.empty((size, p))
+    if center_w is not None:
+        points[:, 0] = mean
+        weights[:, 0] = center_w
+    # one flat pass per sign over (D n)-long rows, with the mean tiled once:
+    # a broadcast over n-wide rows runs at about half that speed
+    shell = points[:, first:].reshape(size, k, 2, d * n)
+    mean_row = np.tile(mean, d)
+    np.multiply(radii[:, :, None], dirs.reshape(-1, 1, d * n), out=shell[:, :, 0])
+    np.subtract(mean_row, shell[:, :, 0], out=shell[:, :, 1])
+    np.add(mean_row, shell[:, :, 0], out=shell[:, :, 0])
+    weights[:, first:].reshape(size, k, 2, d)[:] = (radial_w[:, :, None] * sphere_w)[:, :, None]
     return points, weights
 
 
 def draw_rule_batch(
-    scheme: IntegrationScheme, n: int, size: int, rng: RngStream | Sequence[RngStream]
+    scheme: IntegrationScheme,
+    n: int,
+    size: int,
+    rng: RngStream | Sequence[RngStream],
+    *,
+    mean: np.ndarray | None = None,
+    root: np.ndarray | None = None,
+    alloc: Callable[[tuple[int, int]], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``size`` independent realizations of a scheme's point set per stream.
+
+    The points are those of the rule under N(mean, root root^T).  Every rule
+    but mc is a centre plus +-r times a set of directions, so the square
+    root L = ``root`` acts on the directions of each draw, (L Q)^T being
+    formed once per draw, and the centre mean and the points mean +- r L Q d
+    are written directly; mc maps its points as mean + L c.  The defaults
+    mean = 0 and root = I give the rule in standard-normal coordinates.
 
     ``rng`` is one stream or a sequence of streams.  Each stream supplies
     ``size`` draws, stacked in stream order, and consumes its variates in the
@@ -285,6 +320,10 @@ def draw_rule_batch(
     then the rotation), so the result equals the concatenation of the
     single-stream calls bit for bit.  The rotation and point assembly run
     once over the whole stack.
+
+    ``alloc(shape)``, when given, returns the C-contiguous float64
+    (rows, n) array the points are written into; by default they go to a
+    fresh array.
 
     Returns
     -------
@@ -302,27 +341,33 @@ def draw_rule_batch(
     streams = as_streams(rng)
     total = len(streams) * size
     kind = scheme.kind
-
-    if kind is SchemeKind.CKF3:
-        eye = np.eye(n)
-        pts = np.sqrt(n) * np.concatenate([eye, -eye], axis=0)
-        w = np.full(2 * n, 1.0 / (2 * n))
-        return (
-            np.broadcast_to(pts, (total, 2 * n, n)).copy(),
-            np.broadcast_to(w, (total, 2 * n)).copy(),
-        )
+    mean = np.zeros(n) if mean is None else mean
+    root = _identity(n) if root is None else root
+    alloc = np.empty if alloc is None else alloc
 
     if kind is SchemeKind.MC:
         m = scheme.mc_samples
-        return standard_normal_stack(streams, size, (m, n)), np.full((total, m), 1.0 / m)
+        c = standard_normal_stack(streams, size, (m, n))
+        points = np.matmul(c.reshape(-1, n), root.T, out=alloc((total * m, n)))
+        points += mean
+        return points.reshape(total, m, n), np.full((total, m), 1.0 / m)
+
+    if kind is SchemeKind.CKF3:
+        # the axes L e_i are the rows of L^T
+        return _symmetric_rule(
+            root.T, np.full(n, 1.0 / (2 * n)), np.full((total, 1), np.sqrt(n)),
+            None, np.ones((total, 1)), mean, alloc,
+        )
 
     if kind is SchemeKind.SIF3:
         rho = np.concatenate([sample_chi(n + 2, s, size=size) for s in streams])
         q = haar_orthogonal_batch(n, size, streams)
         w0, w1 = radial_weights_deg3(n, rho)
-        # the random axes Q e_i are the rows of Q^T
-        axes = np.swapaxes(q, 1, 2)
-        return _symmetric_rule(axes, np.full(n, 1.0 / (2 * n)), rho[:, None], w0, w1[:, None])
+        # the random axes L Q e_i are the rows of (L Q)^T
+        axes = np.swapaxes(root @ q, 1, 2)
+        return _symmetric_rule(
+            axes, np.full(n, 1.0 / (2 * n)), rho[:, None], w0, w1[:, None], mean, alloc
+        )
 
     # Fifth-degree family: simplex surface rule composed with a radial rule.
     dirs, sphere_w = _simplex_directions(n)
@@ -338,10 +383,12 @@ def draw_rule_batch(
         radii, radial_w = rho[:, None], w1[:, None]
     else:
         raise ValueError(f"unsupported scheme kind {kind!r}")
-    if kind is not SchemeKind.CKF5:
+    if kind is SchemeKind.CKF5:
+        dirs = dirs @ root.T  # rows L d for every direction d
+    else:
         q = haar_orthogonal_batch(n, size, streams)
-        dirs = dirs @ np.swapaxes(q, 1, 2)  # rows Q d for every direction d
-    return _symmetric_rule(dirs, sphere_w, radii, w0, radial_w)
+        dirs = dirs @ np.swapaxes(root @ q, 1, 2)  # rows L Q d for every direction d
+    return _symmetric_rule(dirs, sphere_w, radii, w0, radial_w, mean, alloc)
 
 
 def points_per_draw(scheme: IntegrationScheme, n: int) -> int:

@@ -171,6 +171,25 @@ class TestGrowthModel:
         assert m1.observe(x) == 36.0
         assert m2.observe(x) == 36.0**2
 
+    @pytest.mark.parametrize("q", [1, 2, 4])
+    @pytest.mark.parametrize("n", [1, 3, 10, 20])
+    def test_observation_agrees_with_the_elementwise_norm(self, n, q):
+        # both squared norms are within about n eps of x^T x, relative; the
+        # power 2q scales that relative difference by 2q
+        model = GrowthModel(q=q, n=n)
+        x = 3.0 * np.random.default_rng(100 * n + q).standard_normal((2000, n))
+        reference = ((1.0 + (x * x).sum(-1)) ** 2) ** q
+        bound = 2 * q * n * np.finfo(np.float64).eps
+        stack = model.observe(x)
+        assert stack.shape == (2000,)
+        assert np.all(np.abs(stack - reference) <= bound * reference)
+        for row in (0, 7, 1999):
+            single = model.observe(x[row])
+            assert np.ndim(single) == 0
+            assert abs(single - reference[row]) <= bound * reference[row]
+            # a row of the stack call is the vector call
+            assert single == stack[row]
+
     def test_state_space_wiring(self):
         model = GrowthModel(q=2, n=3)
         ssm = model.state_space()

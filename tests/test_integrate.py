@@ -6,7 +6,6 @@ from srcf.integrate import (
     IntegrandError,
     VectorFunction,
     expect,
-    expect_batch,
     sigma_points,
 )
 from srcf.linalg import spd_sqrt
@@ -18,6 +17,24 @@ ALL_LABELS = ["ckf3", "ckf5", "sif3", "sif5", "qsif5", "mc"]
 
 def scheme(label, n_m=1, mc=2000):
     return IntegrationScheme.from_label(label, n_m=n_m, mc_samples=mc if label == "mc" else None)
+
+
+EPS = np.finfo(np.float64).eps
+
+
+def assert_is_affine_image(x, mean, points, root):
+    """x equals mean + points @ root.T up to the rounding of the two ways.
+
+    Each coordinate of either side sums n products, in one matrix product
+    or in two (the rule layer maps directions, not points), so the two
+    differ by a few roundings of |mean_j| + ||c|| ||L_j|| (L_j the j-th row
+    of L); allow 2(n + 1) of them.
+    """
+    n = mean.shape[0]
+    points = points.reshape(-1, n)
+    scale = np.abs(mean) + np.linalg.norm(points, axis=1)[:, None] * np.linalg.norm(root, axis=1)
+    err = np.abs(x - (mean + points @ root.T))
+    assert np.all(err <= 2 * (n + 1) * EPS * scale), (err / (EPS * scale)).max()
 
 
 def random_belief(n, seed):
@@ -69,7 +86,7 @@ class TestSigmaPoints:
         assert x.shape == (points.shape[0] * points.shape[1], n)
         np.testing.assert_array_equal(w, weights.reshape(-1) / n_m)
         assert abs(w.sum() - 1.0) < 1e-12
-        np.testing.assert_allclose(x, belief.mean + points.reshape(-1, n) @ spd_sqrt(belief.cov).T)
+        assert_is_affine_image(x, belief.mean, points, spd_sqrt(belief.cov))
 
     def test_expect_is_weighted_sum_over_sigma_points(self):
         belief = random_belief(3, 17)
@@ -77,6 +94,42 @@ class TestSigmaPoints:
         fn = VectorFunction(lambda x: np.cos(x), vectorized=True)
         x, w = sigma_points(belief, sch, RngStream(18))
         np.testing.assert_array_equal(expect(fn, belief, sch, RngStream(18)), w @ np.cos(x))
+
+
+class TestStateSpaceAssembly:
+    """The rule layer writes the points of N(mean, L L^T) directly."""
+
+    @pytest.mark.parametrize("n", [2, 6, 10, 20])
+    @pytest.mark.parametrize("label", ALL_LABELS)
+    def test_points_are_the_affine_image_of_the_rule(self, label, n):
+        sch = scheme(label, n_m=1 if label.startswith("ckf") else 3, mc=50)
+        belief = GaussianBelief(
+            10.0 * np.random.default_rng(n).standard_normal(n), random_belief(n, 25 + n).cov
+        )
+        x, _ = sigma_points(belief, sch, RngStream(26, stream_id=label))
+        points, _ = draw_rule_batch(sch, n, sch.n_m, RngStream(26, stream_id=label))
+        assert_is_affine_image(x, belief.mean, points, spd_sqrt(belief.cov))
+
+    @pytest.mark.parametrize("n", [2, 6, 10, 20])
+    @pytest.mark.parametrize("label", ALL_LABELS)
+    def test_identity_belief_gives_the_standard_draw(self, label, n):
+        sch = scheme(label, n_m=1 if label.startswith("ckf") else 3, mc=50)
+        x, w = sigma_points(GaussianBelief(np.zeros(n), np.eye(n)), sch, RngStream(27).substream(n))
+        points, weights = draw_rule_batch(sch, n, sch.n_m, RngStream(27).substream(n))
+        assert x.tobytes() == points.tobytes()
+        np.testing.assert_array_equal(w, weights.reshape(-1) / sch.n_m)
+
+    def test_points_go_into_the_given_buffer(self):
+        belief, sch = random_belief(4, 28), scheme("sif5", n_m=2)
+        buffers = []
+
+        def alloc(shape):
+            buffers.append(np.empty(shape))
+            return buffers[-1]
+
+        x, _ = sigma_points(belief, sch, RngStream(29), alloc=alloc)
+        assert len(buffers) == 1 and np.shares_memory(x, buffers[0])
+        np.testing.assert_array_equal(x, sigma_points(belief, sch, RngStream(29))[0])
 
 
 class TestStreamSequence:
@@ -116,38 +169,35 @@ class TestStreamSequence:
 
 
 class TestBatchSemantics:
+    """Estimates that share one set of sigma points."""
+
     def test_batch_of_one_equals_expect(self):
         belief = random_belief(3, 5)
         fn = VectorFunction(lambda x: np.sin(x).sum(axis=1), vectorized=True)
         sch = scheme("sif5", n_m=4)
         a = expect(fn, belief, sch, RngStream(6).substream(0))
-        b = expect_batch([fn], belief, sch, RngStream(6).substream(0))[0]
-        assert float(a) == float(b)
+        b = expect(fn, belief, sch, [RngStream(6).substream(0)])
+        assert b.shape == (1,) and float(a) == float(b[0])
 
     def test_shared_draws_give_psd_covariance(self):
         # P = E[f f^T] - E[f] E[f]^T must be PSD when both use the same draws
         n = 4
-        gen = np.random.default_rng(7)
-        a = gen.standard_normal((n, n))
+        a = np.random.default_rng(7).standard_normal((n, n))
         belief = random_belief(n, 8)
-        f1 = VectorFunction(lambda x: x @ a.T, vectorized=True)
-        f2 = VectorFunction(lambda x: np.einsum("pi,pj->pij", x @ a.T, x @ a.T), vectorized=True)
         for label in ["ckf3", "sif3", "sif5", "mc"]:
-            m1, m2 = expect_batch(
-                [f1, f2], belief, scheme(label, n_m=2 if label.startswith("sif") else 1),
+            x, w = sigma_points(
+                belief, scheme(label, n_m=2 if label.startswith("sif") else 1),
                 RngStream(9, stream_id=label),
             )
-            w = np.linalg.eigvalsh(m2 - np.outer(m1, m1))
-            assert w.min() > -1e-9
+            fx = x @ a.T
+            m1, m2 = w @ fx, np.einsum("p,pi,pj->ij", w, fx, fx)
+            assert np.linalg.eigvalsh(m2 - np.outer(m1, m1)).min() > -1e-9
 
     def test_moments_batch_on_standard_normal(self):
         n = 3
-        belief = GaussianBelief(np.zeros(n), np.eye(n))
-        f1 = VectorFunction(lambda x: x, vectorized=True)
-        f2 = VectorFunction(lambda x: np.einsum("pi,pj->pij", x, x), vectorized=True)
-        m1, m2 = expect_batch([f1, f2], belief, scheme("sif5"), RngStream(10))
-        np.testing.assert_allclose(m1, 0.0, atol=1e-9)
-        np.testing.assert_allclose(m2, np.eye(n), atol=1e-9)
+        x, w = sigma_points(GaussianBelief(np.zeros(n), np.eye(n)), scheme("sif5"), RngStream(10))
+        np.testing.assert_allclose(w @ x, 0.0, atol=1e-9)
+        np.testing.assert_allclose(np.einsum("p,pi,pj->ij", w, x, x), np.eye(n), atol=1e-9)
 
 
 class TestEstimateStructure:

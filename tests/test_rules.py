@@ -245,11 +245,11 @@ class TestStreamSequence:
     """``draw_rule_batch`` over a sequence of streams, the lockstep draw."""
 
     @staticmethod
-    def assert_equals_single_calls(label, n, size, make_streams):
+    def assert_equals_single_calls(label, n, size, make_streams, **affine):
         sch = scheme(label, n_m=1, mc=30)
         streams, lone = make_streams(), make_streams()
-        pts, w = draw_rule_batch(sch, n, size, streams)
-        singles = [draw_rule_batch(sch, n, size, s) for s in lone]
+        pts, w = draw_rule_batch(sch, n, size, streams, **affine)
+        singles = [draw_rule_batch(sch, n, size, s, **affine) for s in lone]
         np.testing.assert_array_equal(pts, np.concatenate([p for p, _ in singles]))
         np.testing.assert_array_equal(w, np.concatenate([q for _, q in singles]))
         # every stream is left where a lone call leaves it
@@ -261,6 +261,17 @@ class TestStreamSequence:
     def test_equals_concatenated_single_calls(self, label, n):
         self.assert_equals_single_calls(
             label, n, 3, lambda: [RngStream(51).substream(label, n, i) for i in range(5)]
+        )
+
+    @pytest.mark.parametrize("n", [2, 6, 10])
+    @pytest.mark.parametrize("label", ALL_LABELS)
+    def test_state_space_draws_equal_concatenated_single_calls(self, label, n):
+        gen = np.random.default_rng(n)
+        a = gen.standard_normal((n, n))
+        root = np.linalg.cholesky(a @ a.T + np.eye(n))
+        self.assert_equals_single_calls(
+            label, n, 3, lambda: [RngStream(55).substream(label, n, i) for i in range(5)],
+            mean=gen.standard_normal(n), root=root,
         )
 
     def test_sif5_radial_redraws_stay_on_their_stream(self, monkeypatch):
