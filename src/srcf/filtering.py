@@ -14,7 +14,6 @@ from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .integrate import (
     GaussianBelief,
@@ -293,20 +292,20 @@ def correct(
     if not (np.all(np.isfinite(obs.pyy)) and np.all(np.isfinite(obs.pxy))):
         raise DivergenceError("observation moments are not finite")
     pyy = obs.pyy
-    # both moments are known finite here, so scipy's finiteness scans are skipped
     factor = None
     try:
-        factor = cho_factor(pyy, lower=True, check_finite=False)
-    except LinAlgError:
+        factor = np.linalg.cholesky(pyy)
+    except np.linalg.LinAlgError:
         jitter = max(1e-9 * abs(np.trace(pyy)) / m, np.finfo(np.float64).tiny)
         try:
-            factor = cho_factor(pyy + jitter * np.eye(m), lower=True, check_finite=False)
-        except LinAlgError:
+            factor = np.linalg.cholesky(pyy + jitter * np.eye(m))
+        except np.linalg.LinAlgError:
             pass
     if factor is None:
         # indefinite innovation covariance: skip the measurement
         return GaussianBelief(mean=pred.mean.copy(), cov=pred.cov.copy())
-    gain = cho_solve(factor, obs.pxy.T, check_finite=False).T
+    # Pyy K^T = Pxy^T as two solves on the lower factor: L z = Pxy^T, L^T K^T = z
+    gain = np.linalg.solve(factor.T, np.linalg.solve(factor, obs.pxy.T)).T
     if not np.all(np.isfinite(gain)):
         raise DivergenceError("gain solve produced non-finite values")
     mean = pred.mean + gain @ (y - obs.y_hat)

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,3 +209,16 @@ class TestExitCodes:
             "--out", str(tmp_path / "missing-dir" / "x.csv"),
         ])
         assert code == 1
+
+
+def test_import_loads_numpy_only():
+    # the runtime depends on numpy alone: neither the package nor its CLI
+    # may pull in scipy, which is a test-only dependency
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import srcf, srcf.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(src)], stdout=subprocess.PIPE,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

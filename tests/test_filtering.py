@@ -4,6 +4,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from srcf import filtering
 from srcf.bench import GrowthModel, simulate_trajectory
@@ -17,7 +18,7 @@ from srcf.filtering import (
     run_filter,
 )
 from srcf.integrate import GaussianBelief, VectorFunction
-from srcf.linalg import spd_sqrt
+from srcf.linalg import spd_sqrt, symmetrize
 from srcf.rng import RngStream
 from srcf.rules import IntegrationScheme
 
@@ -176,11 +177,101 @@ class TestCorrect:
         np.testing.assert_array_equal(post.mean, pred.mean)
         np.testing.assert_array_equal(post.cov, pred.cov)
 
+    def test_single_observation_equals_scipy_cholesky_update(self):
+        # for a scalar observation the two triangular solves round exactly as
+        # scipy's cho_factor/cho_solve did; a lone state (n = 1, a single
+        # right-hand side) is left out: there numpy's solve divides where
+        # the multi-column solve multiplies by the reciprocal
+        gen = np.random.default_rng(31)
+        for _ in range(200):
+            pred, obs, y = _random_update(gen, int(gen.integers(2, 21)), 1)
+            ref_mean, ref_cov = _scipy_update(pred, obs, y)
+            post = correct(pred, obs, y)
+            np.testing.assert_array_equal(post.mean, ref_mean)
+            np.testing.assert_array_equal(post.cov, ref_cov)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_vector_observation_agrees_with_scipy_cholesky_update(self, m):
+        # both are backward-stable solves, so the gains differ by at most a
+        # few eps * cond(Pyy) relative; the mean and covariance add one
+        # rounding of their own size.  The largest difference seen on these
+        # draws is 0.08 of the bound
+        gen = np.random.default_rng(32 + m)
+        eps = np.finfo(np.float64).eps
+        for _ in range(200):
+            pred, obs, y = _random_update(gen, int(gen.integers(1, 21)), m)
+            ref_mean, ref_cov = _scipy_update(pred, obs, y)
+            post = correct(pred, obs, y)
+            gain = obs.pxy @ np.linalg.inv(obs.pyy)
+            k = 2 * m * eps * np.linalg.cond(obs.pyy) * np.linalg.norm(gain, 2)
+            innov = np.linalg.norm(y - obs.y_hat)
+            assert np.linalg.norm(post.mean - ref_mean) <= (
+                k * innov + eps * np.linalg.norm(ref_mean)
+            )
+            assert np.linalg.norm(post.cov - ref_cov, 2) <= (
+                k * np.linalg.norm(obs.pxy, 2) + eps * np.linalg.norm(pred.cov, 2)
+            )
+
+    def test_singular_pyy_takes_the_jitter_retry(self):
+        # Pyy = [[1, 1], [1, 1]] is PSD but singular, so the first Cholesky
+        # fails and the retry factors Pyy + 1e-9 * trace / m * I
+        v = np.array([0.6, -0.2, 0.1])
+        pred = GaussianBelief(np.array([1.0, 2.0, -3.0]), np.eye(3))
+        pyy = np.ones((2, 2))
+        obs = PredictedObservation(y_hat=np.array([0.5, 0.5]), pxy=np.column_stack([v, v]), pyy=pyy)
+        y = np.array([1.5, 0.7])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(pyy)
+        jitter = 1e-9 * np.trace(pyy) / 2
+        post = correct(pred, obs, y)
+        assert np.all(np.isfinite(post.mean)) and np.all(np.isfinite(post.cov))
+        # bit for bit the update a first-try factorization of the jittered matrix gives
+        jittered = PredictedObservation(y_hat=obs.y_hat, pxy=obs.pxy, pyy=pyy + jitter * np.eye(2))
+        direct = correct(pred, jittered, y)
+        np.testing.assert_array_equal(post.mean, direct.mean)
+        np.testing.assert_array_equal(post.cov, direct.cov)
+        # and the exact update from Pyy + jitter I: (1, 1) is an eigenvector
+        # of Pyy, so K = v (1, 1) / (2 + jitter); the factorization cancels
+        # to relative accuracy eps * cond(Pyy + jitter I), about 4e-7 here
+        # (the difference seen is 2e-5 of this bound)
+        scale = 2 + jitter
+        mean = pred.mean + v * (y - obs.y_hat).sum() / scale
+        cov = pred.cov - np.outer(v, v) * 2 / scale
+        tol = 4 * np.finfo(np.float64).eps * np.linalg.cond(pyy + jitter * np.eye(2))
+        np.testing.assert_allclose(post.mean, mean, rtol=0, atol=tol * np.abs(mean).max())
+        np.testing.assert_allclose(post.cov, cov, rtol=0, atol=tol * np.abs(cov).max())
+
+    def test_overflowing_gain_raises_divergence(self):
+        # a factor that succeeds but whose solve overflows is a divergence,
+        # not a silently infinite posterior
+        pred = GaussianBelief(np.zeros(2), np.eye(2))
+        obs = PredictedObservation(y_hat=np.zeros(1), pxy=np.array([[1e10], [0.0]]), pyy=np.array([[1e-300]]))
+        with pytest.raises(DivergenceError, match="gain"):
+            correct(pred, obs, np.zeros(1))
+
     def test_bad_observation_shape_rejected(self):
         pred = GaussianBelief(np.zeros(1), np.eye(1))
         obs = PredictedObservation(y_hat=np.zeros(1), pxy=np.eye(1), pyy=np.eye(1))
         with pytest.raises(ValueError):
             correct(pred, obs, np.zeros(2))
+
+
+def _random_update(gen, n, m):
+    """A random prediction, linear-Gaussian observation moments and observation."""
+    a = gen.standard_normal((n, n))
+    p = a @ a.T + 0.1 * np.eye(n)
+    c = gen.standard_normal((m, n)) * 10 ** gen.uniform(-2, 2, (m, 1))
+    r = np.diag(10 ** gen.uniform(-4, 1, m))
+    pred = GaussianBelief(10 * gen.standard_normal(n), p)
+    obs = PredictedObservation(y_hat=gen.standard_normal(m), pxy=p @ c.T, pyy=c @ p @ c.T + r)
+    y = obs.y_hat + gen.standard_normal(m) * np.sqrt(np.diag(obs.pyy))
+    return pred, obs, y
+
+
+def _scipy_update(pred, obs, y):
+    """The Kalman update through scipy's Cholesky factor and solve."""
+    gain = cho_solve(cho_factor(obs.pyy, lower=True), obs.pxy.T).T
+    return pred.mean + gain @ (y - obs.y_hat), symmetrize(pred.cov - gain @ obs.pxy.T)
 
 
 class TestRunFilter:
