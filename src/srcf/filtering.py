@@ -23,7 +23,7 @@ from .integrate import (
     _evaluate,
     sigma_points,
 )
-from .linalg import symmetrize
+from .linalg import checked_covariance, diagonal_jitter, symmetrize
 from .rng import RngStream
 from .rules import IntegrationScheme
 
@@ -55,7 +55,9 @@ class StateSpaceModel:
     ``f`` and ``h`` may be plain callables of one state vector or
     :class:`VectorFunction` instances (use ``vectorized=True`` for functions
     that accept (P, n) stacks; that is the fast path).  ``w ~ N(0, q)`` and
-    ``v ~ N(0, r)``.
+    ``v ~ N(0, r)``; q must have shape (n, n) and r shape (m, m) (a 0-d
+    scalar counts as 1 x 1), both pass `checked_covariance` and are
+    symmetrized on construction.
 
     The points passed to ``f`` and ``h`` (the (P, n) stack of a vectorized
     function, or each (n,) row of it for a plain callable) live in a buffer
@@ -74,13 +76,8 @@ class StateSpaceModel:
     def __post_init__(self):
         self.f = _as_vector_function(self.f)
         self.h = _as_vector_function(self.h)
-        self.q = np.asarray(self.q, dtype=np.float64).reshape(self.n, self.n)
-        self.r = np.asarray(self.r, dtype=np.float64).reshape(self.m, self.m)
-        for name, mat in (("q", self.q), ("r", self.r)):
-            if not np.all(np.isfinite(mat)):
-                raise ValueError(f"{name} contains NaN or Inf entries")
-            if np.abs(mat - mat.T).max() > 1e-8 * max(1.0, np.abs(mat).max()):
-                raise ValueError(f"{name} must be symmetric")
+        self.q = checked_covariance(self.q, "q", self.n)
+        self.r = checked_covariance(self.r, "r", self.m)
 
 
 @dataclass
@@ -176,10 +173,12 @@ def _centred_moments(
     return mean, symmetrize(wdev.T @ dev)
 
 
-def _require_finite(step_name: str, **arrays) -> None:
-    for name, arr in arrays.items():
-        if not np.all(np.isfinite(arr)):
-            raise DivergenceError(f"{step_name} produced non-finite {name}")
+def _belief(step: str, mean: np.ndarray, cov: np.ndarray) -> GaussianBelief:
+    """A phase's output belief; one the belief's own check rejects is a divergence."""
+    try:
+        return GaussianBelief(mean=mean, cov=cov)
+    except ValueError as err:
+        raise DivergenceError(f"{step} produced an unusable belief: {err}") from err
 
 
 def _observation_estimate_usable(joint: np.ndarray) -> bool:
@@ -203,7 +202,7 @@ def _observation_estimate_usable(joint: np.ndarray) -> bool:
 
 def _psd_magnitude(mat: np.ndarray) -> np.ndarray:
     """PSD surrogate with the same scale: eigenvalues replaced by |values|."""
-    w, v = np.linalg.eigh(symmetrize(mat))
+    w, v = np.linalg.eigh(mat)
     return (v * np.abs(w)) @ v.T
 
 
@@ -224,9 +223,7 @@ def predict_state(
         x, w = sigma_points(prior, scheme, rng, alloc=partial(arrays, 0))
         fx = _model_values(model.f, x, model.n, "transition function")
         mean, cov = _centred_moments(fx, w, arrays)
-    cov = cov + model.q
-    _require_finite("state prediction", mean=mean, cov=cov)
-    return GaussianBelief(mean=mean, cov=cov)
+    return _belief("state prediction", mean, cov + model.q)
 
 
 def predict_observation(
@@ -259,13 +256,13 @@ def predict_observation(
         xh[:, :n] = x
         xh[:, n:] = h
         mean, joint = _centred_moments(xh, w, arrays)
-    _require_finite("observation prediction", y_hat=mean, joint_moments=joint)
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(joint))):
+        raise DivergenceError("observation prediction produced non-finite moments")
     y_hat, pxy, pyy_raw = mean[n:], joint[:n, n:], joint[n:, n:]
     if not _observation_estimate_usable(joint):
         pxy = np.zeros_like(pxy)
         pyy_raw = _psd_magnitude(pyy_raw)
-    pyy = symmetrize(pyy_raw + model.r)
-    return PredictedObservation(y_hat=y_hat, pxy=pxy, pyy=pyy)
+    return PredictedObservation(y_hat=y_hat, pxy=pxy, pyy=pyy_raw + model.r)
 
 
 def correct(
@@ -276,8 +273,8 @@ def correct(
     """Measurement update via the innovation y - y_hat.
 
     The gain solves against a Cholesky factorization of Pyy (never an
-    explicit inverse), with one diagonal jitter of 1e-9 * trace / m retried
-    on failure.  If Pyy is indefinite even after the jitter, the estimate has
+    explicit inverse), retried once with `diagonal_jitter` added on
+    failure.  If Pyy is indefinite even after the jitter, the estimate has
     been swamped by integration noise (possible for negative-weight rules,
     i.e. the fifth-degree family at n > 7, on violently nonlinear
     observations: a true innovation covariance always dominates the noise
@@ -296,22 +293,20 @@ def correct(
     try:
         factor = np.linalg.cholesky(pyy)
     except np.linalg.LinAlgError:
-        jitter = max(1e-9 * abs(np.trace(pyy)) / m, np.finfo(np.float64).tiny)
         try:
-            factor = np.linalg.cholesky(pyy + jitter * np.eye(m))
+            factor = np.linalg.cholesky(pyy + diagonal_jitter(pyy) * np.eye(m))
         except np.linalg.LinAlgError:
             pass
     if factor is None:
         # indefinite innovation covariance: skip the measurement
-        return GaussianBelief(mean=pred.mean.copy(), cov=pred.cov.copy())
+        return _belief("correction", pred.mean.copy(), pred.cov)
     # Pyy K^T = Pxy^T as two solves on the lower factor: L z = Pxy^T, L^T K^T = z
     gain = np.linalg.solve(factor.T, np.linalg.solve(factor, obs.pxy.T)).T
     if not np.all(np.isfinite(gain)):
         raise DivergenceError("gain solve produced non-finite values")
     mean = pred.mean + gain @ (y - obs.y_hat)
-    cov = symmetrize(pred.cov - gain @ obs.pxy.T)
-    _require_finite("correction", mean=mean, cov=cov)
-    return GaussianBelief(mean=mean, cov=cov)
+    # symmetrized here: the difference can cancel, and the belief's tolerance is relative to it
+    return _belief("correction", mean, symmetrize(pred.cov - gain @ obs.pxy.T))
 
 
 def run_filter(

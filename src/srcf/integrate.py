@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import spd_sqrt, symmetrize
+from .linalg import checked_covariance, spd_sqrt
 from .rng import RngStream
 from .rules import IntegrationScheme, draw_rule_batch
 
@@ -42,8 +42,9 @@ class IntegrandError(ValueError):
 class GaussianBelief:
     """A Gaussian state density N(mean, cov).
 
-    The covariance is symmetrized on construction; it may be indefinite by a
-    numerical margin (conditioning happens when a square root is taken).
+    The covariance must pass `checked_covariance` and is symmetrized on
+    construction; it may be indefinite by a numerical margin (conditioning
+    happens when a square root is taken).
     """
 
     mean: np.ndarray
@@ -51,20 +52,11 @@ class GaussianBelief:
 
     def __post_init__(self):
         self.mean = np.atleast_1d(np.asarray(self.mean, dtype=np.float64))
-        cov = np.asarray(self.cov, dtype=np.float64)
-        if cov.ndim == 0:
-            cov = cov.reshape(1, 1)
         if self.mean.ndim != 1:
             raise ValueError(f"mean must be a vector, got shape {self.mean.shape}")
-        n = self.mean.shape[0]
-        if cov.shape != (n, n):
-            raise ValueError(f"cov must have shape ({n}, {n}), got {cov.shape}")
-        if not np.all(np.isfinite(self.mean)) or not np.all(np.isfinite(cov)):
-            raise ValueError("belief contains NaN or Inf entries")
-        asym = np.abs(cov - cov.T).max()
-        if asym > 1e-8 * max(1.0, np.abs(cov).max()):
-            raise ValueError(f"cov is not symmetric (max asymmetry {asym:.3e})")
-        self.cov = symmetrize(cov)
+        if not np.all(np.isfinite(self.mean)):
+            raise ValueError("mean contains NaN or Inf entries")
+        self.cov = checked_covariance(self.cov, "cov", self.mean.shape[0])
 
     @property
     def dim(self) -> int:
@@ -141,7 +133,6 @@ def sigma_points(
         Each row sums to one, so E[f(x)] is estimated by ``w @ f(x)``.
     """
     n = belief.dim
-    scheme.validate_dim(n)
     root = spd_sqrt(belief.cov)
     points, weights = draw_rule_batch(
         scheme, n, scheme.n_m, rng, mean=belief.mean, root=root, alloc=alloc

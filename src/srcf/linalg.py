@@ -1,4 +1,4 @@
-"""Covariance square roots and Haar-random orthogonal matrices."""
+"""Covariance acceptance, diagonal jitter and square roots; Haar-random orthogonal matrices."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 
 from .rng import RngStream, as_streams, standard_normal_stack
 
-__all__ = ["spd_sqrt", "haar_orthogonal_batch", "symmetrize"]
+__all__ = ["spd_sqrt", "haar_orthogonal_batch", "symmetrize", "checked_covariance", "diagonal_jitter"]
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -16,24 +16,40 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def _check_square(p: np.ndarray, name: str) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {p.shape}")
-    if p.shape[0] < 1:
-        raise ValueError(f"{name} must have dimension >= 1")
-    if not np.all(np.isfinite(p)):
+def checked_covariance(a, name: str, dim: int | None = None) -> np.ndarray:
+    """Apply the one acceptance rule for a covariance matrix; return its symmetric part.
+
+    ``a`` must be a non-empty square matrix, of shape (dim, dim) when ``dim``
+    is given (a 0-d scalar then counts as 1 x 1), finite, and symmetric to
+    within a tolerance relative to its largest entry.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if dim is not None and a.ndim == 0:
+        a = a.reshape(1, 1)
+    if not (a.ndim == 2 and a.shape[0] == a.shape[1] >= 1) or dim not in (None, a.shape[0]):
+        expected = f"have shape ({dim}, {dim})" if dim else "be a non-empty square matrix"
+        raise ValueError(f"{name} must {expected}, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains NaN or Inf entries")
-    return p
+    asym = np.abs(a - a.T).max()
+    if asym > 1e-8 * max(1.0, np.abs(a).max()):
+        raise ValueError(f"{name} is not symmetric (max asymmetry {asym:.3e})")
+    return symmetrize(a)
+
+
+def diagonal_jitter(a: np.ndarray) -> float:
+    """Diagonal jitter for a matrix that fails to factor: |trace| / n scaled, never zero."""
+    return max(1e-9 * abs(np.trace(a)) / a.shape[0], np.finfo(np.float64).tiny)
 
 
 def spd_sqrt(p: np.ndarray) -> np.ndarray:
     """Square-root factor L with L @ L.T == P for a symmetric PSD matrix.
 
+    P must pass `checked_covariance`, and its symmetric part is factored.
     Tries a Cholesky factorization first (lower triangular).  If that fails
     (filtering covariances routinely drift slightly indefinite), falls back to
     a symmetric eigendecomposition with negative eigenvalues clamped to zero,
-    after adding a one-shot jitter of 1e-9 * trace(P)/n to the diagonal.
+    after adding `diagonal_jitter` to the diagonal once.
 
     Parameters
     ----------
@@ -47,18 +63,12 @@ def spd_sqrt(p: np.ndarray) -> np.ndarray:
         applied in the fallback path).  Lower triangular when the Cholesky
         path succeeds.
     """
-    p = _check_square(p, "P")
-    sym_err = np.abs(p - p.T).max()
-    if sym_err > 1e-8 * max(1.0, np.abs(p).max()):
-        raise ValueError(f"P is not symmetric (max asymmetry {sym_err:.3e})")
+    p = checked_covariance(p, "P")
     try:
         return np.linalg.cholesky(p)
     except np.linalg.LinAlgError:
         pass
-    n = p.shape[0]
-    jitter = max(1e-9 * np.trace(p) / n, np.finfo(np.float64).tiny)
-    ps = symmetrize(p) + jitter * np.eye(n)
-    w, v = np.linalg.eigh(ps)
+    w, v = np.linalg.eigh(p + diagonal_jitter(p) * np.eye(p.shape[0]))
     w = np.clip(w, 0.0, None)
     return v * np.sqrt(w)
 

@@ -17,7 +17,7 @@ from srcf.filtering import (
     predict_state,
     run_filter,
 )
-from srcf.integrate import GaussianBelief, VectorFunction
+from srcf.integrate import GaussianBelief, VectorFunction, sigma_points
 from srcf.linalg import spd_sqrt, symmetrize
 from srcf.rng import RngStream
 from srcf.rules import IntegrationScheme
@@ -38,6 +38,28 @@ def linear_model(a, c, q, r):
         h=VectorFunction(lambda x: x @ c.T, vectorized=True),
         q=q, r=r, n=n, m=m,
     )
+
+
+class TestStateSpaceModel:
+    def _model(self, q, r, n=2, m=1):
+        return StateSpaceModel(f=lambda x: x, h=lambda x: x[0], q=q, r=r, n=n, m=m)
+
+    @pytest.mark.parametrize("q", [np.array([[1.0, 0.0, 0.0, 1.0]]), np.array([[1.0], [0.0], [0.0], [1.0]]),
+                                   np.eye(3), np.ones(4)])
+    def test_misshaped_q_rejected(self, q):
+        # q holds n^2 = 4 entries but is not (2, 2): no reshape is guessed
+        with pytest.raises(ValueError, match="q must have shape"):
+            self._model(q, np.eye(1))
+
+    @pytest.mark.parametrize("r", [np.ones(1), np.eye(2), np.ones((1, 2))])
+    def test_misshaped_r_rejected(self, r):
+        with pytest.raises(ValueError, match="r must have shape"):
+            self._model(np.eye(2), r)
+
+    def test_scalars_become_one_by_one(self):
+        model = self._model(2.0, 0.5, n=1)
+        np.testing.assert_array_equal(model.q, [[2.0]])
+        np.testing.assert_array_equal(model.r, [[0.5]])
 
 
 class TestPredictState:
@@ -388,6 +410,36 @@ class TestRunFilter:
             spd_sqrt(post.cov)  # conditioning keeps it factorizable
 
 
+class TestMomentOverflow:
+    """A phase whose moments overflow ends the run as a divergence, at its step."""
+
+    def _model(self, f, h, n=2):
+        return StateSpaceModel(
+            f=VectorFunction(f, vectorized=True), h=VectorFunction(h, vectorized=True),
+            q=np.eye(n), r=np.eye(1), n=n, m=1,
+        )
+
+    def test_state_prediction(self):
+        model = self._model(lambda x: 1e200 * x, lambda x: x[:, 0])
+        belief = GaussianBelief(np.zeros(2), np.eye(2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="state prediction"):
+                predict_state(belief, model, scheme("ckf3"), RngStream(0))
+            with pytest.raises(DivergenceError) as err:
+                run_filter(model, scheme("ckf3"), np.zeros((3, 1)), belief, RngStream(0))
+        assert err.value.step == 0
+
+    def test_observation_prediction(self):
+        model = self._model(lambda x: x, lambda x: 1e200 * x[:, 0])
+        belief = GaussianBelief(np.zeros(2), np.eye(2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="observation prediction"):
+                predict_observation(belief, model, scheme("ckf3"), RngStream(0))
+            with pytest.raises(DivergenceError) as err:
+                run_filter(model, scheme("ckf3"), np.zeros((3, 1)), belief, RngStream(0))
+        assert err.value.step == 0
+
+
 class TestCentredMoments:
     @pytest.mark.parametrize("label", CUBATURE_LABELS)
     def test_large_mean_offset_keeps_moments(self, label):
@@ -432,6 +484,38 @@ class TestFallbackPolicy:
                 belief = correct(pred, obs, y)
                 unchanged = np.array_equal(belief.mean, pred.mean) and np.array_equal(belief.cov, pred.cov)
                 assert not unchanged, f"run {run} step {k}: correction skipped"
+
+
+    @pytest.mark.parametrize("n", [6, 10])
+    def test_zero_gain_forced_by_negative_vertex_weights(self, n):
+        # ckf5 on N(0, I) with h(x) = sum x_i^4: at n = 10 the vertex weights
+        # are negative and the raw Pyy comes out negative (-643.47), so the
+        # estimate is rejected; at n = 6 all weights are positive and the raw
+        # estimate (Pyy = 190.37) passes through untouched
+        model = StateSpaceModel(
+            f=VectorFunction(lambda x: x, vectorized=True),
+            h=VectorFunction(lambda x: (x**4).sum(axis=1), vectorized=True),
+            q=np.eye(n), r=np.eye(1), n=n, m=1,
+        )
+        belief = GaussianBelief(np.zeros(n), np.eye(n))
+        sch = scheme("ckf5")
+        obs = predict_observation(belief, model, sch, RngStream(0))
+        x, w = sigma_points(belief, sch, RngStream(0))
+        _, joint = filtering._centred_moments(
+            np.hstack([x, model.h.fn(x)[:, None]]), w, lambda slot, shape: np.empty(shape)
+        )
+        raw_pxy, raw_pyy = joint[:n, n:], joint[n:, n:]
+        if n == 10:
+            assert raw_pyy[0, 0] < 0
+            assert not np.any(obs.pxy)
+            np.testing.assert_array_equal(obs.pyy, np.abs(raw_pyy) + 1.0)
+            post = correct(belief, obs, np.array([3.0]))
+            np.testing.assert_array_equal(post.mean, belief.mean)
+            np.testing.assert_array_equal(post.cov, belief.cov)
+        else:
+            assert raw_pyy[0, 0] > 0
+            np.testing.assert_array_equal(obs.pxy, raw_pxy)
+            np.testing.assert_array_equal(obs.pyy, raw_pyy + 1.0)
 
 
 def _assert_same_posteriors(a, b):

@@ -1,8 +1,71 @@
 import numpy as np
 import pytest
 
-from srcf.linalg import haar_orthogonal_batch, spd_sqrt
+from srcf.filtering import StateSpaceModel
+from srcf.integrate import GaussianBelief
+from srcf.linalg import checked_covariance, diagonal_jitter, haar_orthogonal_batch, spd_sqrt
 from srcf.rng import RngStream
+
+
+def _noise_model(q=None, r=None):
+    q = np.eye(1) if q is None else q
+    r = np.eye(1) if r is None else r
+    return StateSpaceModel(f=lambda x: x, h=lambda x: x, q=q, r=r, n=q.shape[0], m=r.shape[0])
+
+
+# every place a covariance enters, each giving what it keeps or factors
+ENTRY_POINTS = {
+    "belief cov": lambda a: GaussianBelief(np.zeros(a.shape[0]), a).cov,
+    "model q": lambda a: _noise_model(q=a).q,
+    "model r": lambda a: _noise_model(r=a).r,
+    "spd_sqrt": spd_sqrt,
+}
+SPD = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
+
+
+def _skewed(rel):
+    """SPD with one off-diagonal pair apart by ``rel`` times its largest entry."""
+    a = SPD.copy()
+    a[0, 1] += rel * np.abs(SPD).max()
+    return a
+
+
+class TestCovarianceGuard:
+    """One acceptance rule, applied wherever a covariance enters."""
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", ["nan", "non-square", "asymmetric"])
+    def test_rejects(self, entry, bad):
+        a = {"nan": np.where(np.eye(3) == 1, np.nan, SPD), "non-square": np.ones((2, 3)),
+             "asymmetric": _skewed(2e-8)}[bad]
+        with pytest.raises(ValueError):
+            ENTRY_POINTS[entry](a)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_accepts_rounding_asymmetry_and_uses_the_symmetric_part(self, entry):
+        a = _skewed(5e-9)
+        out = ENTRY_POINTS[entry](a)
+        # what is kept or factored depends on the symmetric part alone
+        np.testing.assert_array_equal(out, ENTRY_POINTS[entry](a.T))
+        if entry != "spd_sqrt":
+            assert np.array_equal(out, out.T)
+            np.testing.assert_array_equal(out, 0.5 * (a + a.T))
+
+    def test_returns_float64_and_rejects_empty(self):
+        assert checked_covariance([[1, 0], [0, 1]], "P").dtype == np.float64
+        with pytest.raises(ValueError, match="non-empty square"):
+            checked_covariance(np.zeros((0, 0)), "P")
+        with pytest.raises(ValueError, match="non-empty square"):
+            checked_covariance(1.0, "P")
+
+
+class TestDiagonalJitter:
+    def test_scales_with_absolute_trace(self):
+        assert diagonal_jitter(np.diag([2.0, 4.0])) == 1e-9 * 6.0 / 2
+        assert diagonal_jitter(np.diag([-2.0, -4.0])) == 1e-9 * 6.0 / 2
+
+    def test_positive_for_zero_matrix(self):
+        assert diagonal_jitter(np.zeros((3, 3))) == np.finfo(np.float64).tiny
 
 
 class TestSpdSqrt:
