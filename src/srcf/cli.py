@@ -30,7 +30,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -39,6 +39,7 @@ from . import __version__
 from .bench import (
     GrowthModel,
     IntegralBenchReport,
+    IntegralBenchRow,
     RmseSeries,
     TrajectoryOverflowError,
     run_filter_bench,
@@ -119,7 +120,6 @@ class BenchConfig:
     command: str
     n: int
     schemes: tuple[IntegrationScheme, ...]
-    nm: dict
     seed: int
     out: str | None
     format: str
@@ -128,6 +128,11 @@ class BenchConfig:
     runs: int | None = None
     n_mc: int | None = None
     mc_samples: int | None = None
+
+    @property
+    def nm(self) -> dict:
+        """Repetition count per scheme label."""
+        return {s.label: s.n_m for s in self.schemes}
 
 
 def _parse_nm_items(items) -> dict:
@@ -251,7 +256,6 @@ def parse_config(argv) -> BenchConfig:
         command=command,
         n=n,
         schemes=tuple(schemes),
-        nm={s.label: s.n_m for s in schemes},
         seed=values["seed"],
         out=values["out"],
         format=values["format"],
@@ -386,18 +390,8 @@ def _payload(report, config: BenchConfig) -> tuple[dict, list[str], list[dict]]:
     }
     if isinstance(report, IntegralBenchReport):
         meta = {**base_meta, **report.meta}
-        columns = ["scheme", "re_max_pct", "re_mean_pct", "n_m", "points"]
-        rows = [
-            {
-                "scheme": r.scheme,
-                "re_max_pct": r.re_max_pct,
-                "re_mean_pct": r.re_mean_pct,
-                "n_m": r.n_m,
-                "points": r.points,
-            }
-            for r in report.rows
-        ]
-        return meta, columns, rows
+        columns = [f.name for f in fields(IntegralBenchRow)]
+        return meta, columns, [asdict(r) for r in report.rows]
     if isinstance(report, RuleCheckReport):
         meta = {**base_meta, **report.meta}
         return meta, ["scheme", "degree", "max_abs_deviation"], list(report.rows)

@@ -82,20 +82,11 @@ class StateSpaceModel:
 
 @dataclass
 class PredictedObservation:
-    """Predicted observation moments: mean, state cross-covariance, innovation covariance."""
+    """Predicted observation moments; a plain record that `correct` checks against its belief."""
 
     y_hat: np.ndarray  # (m,)
     pxy: np.ndarray  # (n, m)
     pyy: np.ndarray  # (m, m), symmetric; dominates the noise floor r up to slack
-
-    def __post_init__(self):
-        self.y_hat = np.atleast_1d(np.asarray(self.y_hat, dtype=np.float64))
-        self.pxy = np.asarray(self.pxy, dtype=np.float64)
-        self.pyy = symmetrize(np.asarray(self.pyy, dtype=np.float64).reshape(
-            self.y_hat.shape[0], self.y_hat.shape[0]
-        ))
-        if self.pxy.ndim == 1:
-            self.pxy = self.pxy[:, None]
 
 
 def _model_values(fn: VectorFunction, x: np.ndarray, out_dim: int, name: str) -> np.ndarray:
@@ -203,7 +194,7 @@ def _observation_estimate_usable(joint: np.ndarray) -> bool:
 def _psd_magnitude(mat: np.ndarray) -> np.ndarray:
     """PSD surrogate with the same scale: eigenvalues replaced by |values|."""
     w, v = np.linalg.eigh(mat)
-    return (v * np.abs(w)) @ v.T
+    return symmetrize((v * np.abs(w)) @ v.T)
 
 
 def predict_state(
@@ -272,23 +263,33 @@ def correct(
 ) -> GaussianBelief:
     """Measurement update via the innovation y - y_hat.
 
-    The gain solves against a Cholesky factorization of Pyy (never an
-    explicit inverse), retried once with `diagonal_jitter` added on
-    failure.  If Pyy is indefinite even after the jitter, the estimate has
-    been swamped by integration noise (possible for negative-weight rules,
-    i.e. the fifth-degree family at n > 7, on violently nonlinear
-    observations: a true innovation covariance always dominates the noise
-    floor R).  Such an observation carries no usable information, so the
-    update degrades to zero gain and the prediction is returned unchanged.
+    The one place that accepts the update's inputs: y and y_hat of shape
+    (m,), y finite and Pxy of shape (pred.dim, m), else a `ValueError`
+    names the input; non-finite moments are a divergence; Pyy must pass
+    `checked_covariance`, and its symmetric part is used.  The gain solves
+    against a Cholesky factorization of Pyy (never an explicit inverse),
+    retried once with `diagonal_jitter` added on failure.  If Pyy is
+    indefinite even after the jitter, the estimate has been swamped by
+    integration noise (possible for negative-weight rules, i.e. the
+    fifth-degree family at n > 7, on violently nonlinear observations: a
+    true innovation covariance always dominates the noise floor R).  Such
+    an observation carries no usable information, so the update degrades
+    to zero gain and the prediction is returned unchanged.
     Pure and deterministic: no randomness enters the correction step.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    m = obs.y_hat.shape[0]
-    if y.shape != (m,):
-        raise ValueError(f"observation must have shape ({m},), got {y.shape}")
-    if not (np.all(np.isfinite(obs.pyy)) and np.all(np.isfinite(obs.pxy))):
+    y = np.asarray(y, dtype=np.float64)
+    y_hat = np.asarray(obs.y_hat, dtype=np.float64)
+    pxy = np.asarray(obs.pxy, dtype=np.float64)
+    m = y_hat.size
+    if not y.shape == y_hat.shape == (m,):
+        raise ValueError(f"observation {y.shape} and y_hat {y_hat.shape} must have shape ({m},)")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("observation contains NaN or Inf entries")
+    if pxy.shape != (pred.dim, m):
+        raise ValueError(f"pxy must have shape ({pred.dim}, {m}), got shape {pxy.shape}")
+    if not all(np.all(np.isfinite(a)) for a in (y_hat, pxy, obs.pyy)):
         raise DivergenceError("observation moments are not finite")
-    pyy = obs.pyy
+    pyy = checked_covariance(obs.pyy, "pyy", m)
     factor = None
     try:
         factor = np.linalg.cholesky(pyy)
@@ -301,12 +302,12 @@ def correct(
         # indefinite innovation covariance: skip the measurement
         return _belief("correction", pred.mean.copy(), pred.cov)
     # Pyy K^T = Pxy^T as two solves on the lower factor: L z = Pxy^T, L^T K^T = z
-    gain = np.linalg.solve(factor.T, np.linalg.solve(factor, obs.pxy.T)).T
+    gain = np.linalg.solve(factor.T, np.linalg.solve(factor, pxy.T)).T
     if not np.all(np.isfinite(gain)):
         raise DivergenceError("gain solve produced non-finite values")
-    mean = pred.mean + gain @ (y - obs.y_hat)
+    mean = pred.mean + gain @ (y - y_hat)
     # symmetrized here: the difference can cancel, and the belief's tolerance is relative to it
-    return _belief("correction", mean, symmetrize(pred.cov - gain @ obs.pxy.T))
+    return _belief("correction", mean, symmetrize(pred.cov - gain @ pxy.T))
 
 
 def run_filter(

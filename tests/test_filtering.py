@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
+from scipy.stats import chi2
 
 from srcf import filtering
 from srcf.bench import GrowthModel, simulate_trajectory
@@ -277,6 +278,59 @@ class TestCorrect:
         with pytest.raises(ValueError):
             correct(pred, obs, np.zeros(2))
 
+    @pytest.mark.parametrize("pyy", [np.array([[1.0, 0.0, 0.0, 1.0]]), np.array([1.0, 0.0, 0.0, 1.0])])
+    def test_misshaped_pyy_rejected(self, pyy):
+        # m = 2: four entries in the wrong shape are not reshaped into a 2 x 2 Pyy
+        pred = GaussianBelief(np.zeros(3), np.eye(3))
+        obs = PredictedObservation(y_hat=np.zeros(2), pxy=np.ones((3, 2)), pyy=pyy)
+        with pytest.raises(ValueError, match="pyy"):
+            correct(pred, obs, np.zeros(2))
+
+    @pytest.mark.parametrize("pxy", [np.ones((5, 1)), np.array([1.0, 0.5])])
+    def test_misshaped_pxy_rejected(self, pxy):
+        # Pxy must be (n, m) = (2, 1): neither a wrong row count nor a 1-D vector passes
+        pred = GaussianBelief(np.zeros(2), np.eye(2))
+        obs = PredictedObservation(y_hat=np.zeros(1), pxy=pxy, pyy=np.array([[2.0]]))
+        with pytest.raises(ValueError, match="pxy"):
+            correct(pred, obs, np.zeros(1))
+
+    @staticmethod
+    def _skewed_update(delta):
+        """A two-observation update whose Pyy (largest entry 3) has one off-diagonal moved by delta."""
+        pyy = np.array([[3.0, 0.5], [0.5, 2.0]])
+        pyy[0, 1] += delta
+        pred = GaussianBelief(np.array([1.0, -1.0]), np.eye(2))
+        pxy = np.array([[0.6, 0.1], [0.2, 0.4]])
+        return pred, pxy, pyy, np.array([0.7, -0.3])
+
+    def test_asymmetric_pyy_rejected(self):
+        # the guard's tolerance is 1e-8 * 3; 4e-8 is 1.3 times that
+        pred, pxy, pyy, y = self._skewed_update(4e-8)
+        with pytest.raises(ValueError, match="pyy"):
+            correct(pred, PredictedObservation(y_hat=np.zeros(2), pxy=pxy, pyy=pyy), y)
+
+    def test_rounding_asymmetry_uses_the_symmetric_part(self):
+        pred, pxy, pyy, y = self._skewed_update(5e-9)
+        post = correct(pred, PredictedObservation(y_hat=np.zeros(2), pxy=pxy, pyy=pyy), y)
+        post_t = correct(pred, PredictedObservation(y_hat=np.zeros(2), pxy=pxy, pyy=pyy.T), y)
+        np.testing.assert_array_equal(post.mean, post_t.mean)
+        np.testing.assert_array_equal(post.cov, post_t.cov)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_observation_is_an_input_error(self, bad):
+        pred = GaussianBelief(np.zeros(2), np.eye(2))
+        obs = PredictedObservation(y_hat=np.zeros(1), pxy=np.ones((2, 1)), pyy=np.array([[2.0]]))
+        with pytest.raises(ValueError, match="observation"):
+            correct(pred, obs, np.array([bad]))
+
+    def test_non_finite_observation_in_a_run_is_not_a_divergence(self):
+        n = 2
+        model = linear_model(0.9 * np.eye(n), np.ones((1, n)), np.eye(n), np.eye(1))
+        ys = np.zeros((5, 1))
+        ys[2, 0] = np.nan
+        with pytest.raises(ValueError, match="observation"):
+            run_filter(model, scheme("ckf3"), ys, GaussianBelief(np.zeros(n), np.eye(n)), RngStream(0))
+
 
 def _random_update(gen, n, m):
     """A random prediction, linear-Gaussian observation moments and observation."""
@@ -410,6 +464,57 @@ class TestRunFilter:
             spd_sqrt(post.cov)  # conditioning keeps it factorizable
 
 
+class TestLinearGaussianConsistency:
+    """NEES and NIS of a polynomial-exact filter on a linear-Gaussian model.
+
+    There the filter is the Kalman filter, so its reported covariances are
+    exact: the innovations are white with covariance Pyy, and the state
+    error at a fixed step is N(0, P).  Summed over runs (and, for the
+    innovations, over steps) the normalized squared errors are chi-squared
+    (Bar-Shalom, Li & Kirubarajan, 2001) and must fall inside two-sided
+    99.9% bounds.  State errors are correlated over time, so NEES is tested
+    at the final step only.
+    """
+
+    A = np.array([[0.95, 0.1, 0.0], [0.0, 0.9, 0.1], [0.0, 0.0, 0.85]])
+    C = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, -0.5]])
+    Q = np.array([[0.2, 0.05, 0.0], [0.05, 0.1, 0.0], [0.0, 0.0, 0.15]])
+    R = np.array([[0.5, 0.1], [0.1, 0.3]])
+    RUNS, STEPS, SEED = 50, 40, 41
+
+    def _statistics(self, label):
+        n, m = self.A.shape[0], self.C.shape[0]
+        model = linear_model(self.A, self.C, self.Q, self.R)
+        sch = scheme(label)
+        lq, lr = np.linalg.cholesky(self.Q), np.linalg.cholesky(self.R)
+        gen = np.random.default_rng(self.SEED)  # the same trajectories for every scheme
+        nis = nees = 0.0
+        for run in range(self.RUNS):
+            x = np.sqrt(2.0) * gen.standard_normal(n)
+            belief = GaussianBelief(np.zeros(n), 2.0 * np.eye(n))
+            stream = RngStream(self.SEED).substream(label, run)
+            for k in range(self.STEPS):
+                x = self.A @ x + lq @ gen.standard_normal(n)
+                y = self.C @ x + lr @ gen.standard_normal(m)
+                pred = predict_state(belief, model, sch, stream.substream(k, 0))
+                obs = predict_observation(pred, model, sch, stream.substream(k, 1))
+                innov = y - obs.y_hat
+                nis += innov @ np.linalg.solve(obs.pyy, innov)
+                belief = correct(pred, obs, y)
+            err = x - belief.mean
+            nees += err @ np.linalg.solve(belief.cov, err)
+        return nis, nees
+
+    @pytest.mark.parametrize("label", ["ckf3", "sif5"])
+    def test_nis_and_final_nees_inside_chi2_bounds(self, label):
+        n, m = self.A.shape[0], self.C.shape[0]
+        nis, nees = self._statistics(label)
+        lo, hi = chi2.ppf([0.0005, 0.9995], self.RUNS * self.STEPS * m)
+        assert lo <= nis <= hi, f"NIS {nis:.1f} outside [{lo:.1f}, {hi:.1f}]"
+        lo, hi = chi2.ppf([0.0005, 0.9995], self.RUNS * n)
+        assert lo <= nees <= hi, f"final NEES {nees:.1f} outside [{lo:.1f}, {hi:.1f}]"
+
+
 class TestMomentOverflow:
     """A phase whose moments overflow ends the run as a divergence, at its step."""
 
@@ -516,6 +621,35 @@ class TestFallbackPolicy:
             assert raw_pyy[0, 0] > 0
             np.testing.assert_array_equal(obs.pxy, raw_pxy)
             np.testing.assert_array_equal(obs.pyy, raw_pyy + 1.0)
+
+    def test_zero_gain_pyy_of_a_vector_observation_is_symmetric(self):
+        # the m = 2 case of the test above: the rejected estimate's Pyy is
+        # the PSD magnitude of the raw one, built exactly symmetric
+        n = 10
+
+        def h(x):
+            s4 = (x**4).sum(axis=1)
+            return np.column_stack([s4, s4 + 3.0 * x[:, 0] ** 2])
+
+        model = StateSpaceModel(
+            f=VectorFunction(lambda x: x, vectorized=True), h=VectorFunction(h, vectorized=True),
+            q=np.eye(n), r=np.eye(2), n=n, m=2,
+        )
+        belief = GaussianBelief(np.zeros(n), np.eye(n))
+        obs = predict_observation(belief, model, scheme("ckf5"), RngStream(0))
+        assert obs.pxy.shape == (n, 2) and not np.any(obs.pxy)
+        np.testing.assert_array_equal(obs.pyy, obs.pyy.T)
+        post = correct(belief, obs, np.array([3.0, 4.0]))
+        np.testing.assert_array_equal(post.mean, belief.mean)
+        np.testing.assert_array_equal(post.cov, belief.cov)
+
+    def test_psd_magnitude_is_exactly_symmetric(self):
+        # (v |w|) v^T alone rounds its two triangles differently for m >= 3
+        a = np.random.default_rng(3).standard_normal((3, 3))
+        mag = filtering._psd_magnitude(a + a.T)
+        np.testing.assert_array_equal(mag, mag.T)
+        np.testing.assert_allclose(np.linalg.eigvalsh(mag), np.sort(np.abs(np.linalg.eigvalsh(a + a.T))),
+                                   rtol=0, atol=1e-12)
 
 
 def _assert_same_posteriors(a, b):

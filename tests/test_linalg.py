@@ -13,7 +13,8 @@ def _noise_model(q=None, r=None):
     return StateSpaceModel(f=lambda x: x, h=lambda x: x, q=q, r=r, n=q.shape[0], m=r.shape[0])
 
 
-# every place a covariance enters, each giving what it keeps or factors
+# every place a covariance enters, each giving what it keeps or factors; Pyy
+# enters through `filtering.correct`, whose use of the guard TestCorrect pins
 ENTRY_POINTS = {
     "belief cov": lambda a: GaussianBelief(np.zeros(a.shape[0]), a).cov,
     "model q": lambda a: _noise_model(q=a).q,
