@@ -25,7 +25,7 @@ from .integrate import (
 )
 from .linalg import checked_covariance, diagonal_jitter, symmetrize
 from .rng import RngStream
-from .rules import IntegrationScheme
+from .rules import IntegrationScheme, points_per_draw
 
 __all__ = [
     "StateSpaceModel",
@@ -60,10 +60,11 @@ class StateSpaceModel:
     symmetrized on construction.
 
     The points passed to ``f`` and ``h`` (the (P, n) stack of a vectorized
-    function, or each (n,) row of it for a plain callable) live in a buffer
+    function, or each (n,) row of it for a plain callable) are column-major,
+    so each coordinate of all points is contiguous, and live in a buffer
     the filter reuses on its next phase: they are valid only during the
     call, so a function that keeps them must keep a copy.  Returning them,
-    or any array computed from them, is fine.
+    or any array computed from them in any layout, is fine.
     """
 
     f: Callable | VectorFunction
@@ -102,21 +103,25 @@ def _model_values(fn: VectorFunction, x: np.ndarray, out_dim: int, name: str) ->
 
 
 def _fresh_array(slot: int, shape: tuple[int, int]) -> np.ndarray:
-    return np.empty(shape)
+    return np.empty(shape, order="F")
 
 
 class _PhaseScratch(threading.local):
     """Grow-only float64 buffers that one thread's filter phases reuse.
 
-    Slot 0 holds the sigma points x and, once the model values no longer
-    need them, the weighted copy of the centred values; slot 1 holds the
-    centred values ([x, h(x)] centred in place, or f(x) - mean).  Fresh
-    (points, n) arrays on every phase are large enough that the allocator
-    returns their pages to the system and faults them in again on the next
-    phase; reused buffers avoid that.  The weighted copy reuses the points'
-    slot because a third resident buffer raised the peak memory above that
-    of fresh arrays.  An array taken from a slot is valid until the
-    thread's next phase, so nothing a phase returns may alias one.
+    Every array handed out is column-major (each column contiguous), the
+    layout the rule layer writes points in and along which the moment
+    reduction runs.  Slot 0 holds the sigma points of the state prediction
+    and, once the model values no longer need them, the weighted copy of
+    the centred values; slot 1 holds the centred values (f(x) - mean, or
+    the joint [x, h(x)] of the observation prediction, whose first columns
+    are its sigma points, centred in place).  Fresh (points, n) arrays on
+    every phase are large enough that the allocator returns their pages to
+    the system and faults them in again on the next phase; reused buffers
+    avoid that.  The weighted copy reuses the points' slot because a third
+    resident buffer raised the peak memory above that of fresh arrays.  An
+    array taken from a slot is valid until the thread's next phase, so
+    nothing a phase returns may alias one.
 
     Used as ``with _scratch as arrays:``, which yields ``arrays(slot,
     shape)``.  A phase entered while another phase of the same thread holds
@@ -132,7 +137,7 @@ class _PhaseScratch(threading.local):
         size = math.prod(shape)
         if self.slots[slot].size < size:
             self.slots[slot] = np.empty(size)
-        return self.slots[slot][:size].reshape(shape)
+        return self.slots[slot][:size].reshape(shape, order="F")
 
     def __enter__(self) -> Callable[[int, tuple[int, int]], np.ndarray]:
         self.depth += 1
@@ -156,7 +161,8 @@ def _centred_moments(
     does not cancel two large numbers when the mean dwarfs the spread.  The
     deviations go to ``arrays(1, ...)`` (``vals`` itself when it already
     lives there) and their weighted copy to ``arrays(0, ...)``, which may
-    hold the sigma points that ``vals`` was computed from.
+    hold the sigma points that ``vals`` was computed from.  With
+    column-major arrays every pass runs along one contiguous column.
     """
     mean = w @ vals
     dev = np.subtract(vals, mean, out=arrays(1, vals.shape))
@@ -241,11 +247,10 @@ def predict_observation(
         raise ValueError(f"belief dimension {pred.dim} != model state dimension {model.n}")
     n = model.n
     with _scratch as arrays:
-        x, w = sigma_points(pred, scheme, rng, alloc=partial(arrays, 0))
-        h = _model_values(model.h, x, model.m, "observation function")
-        xh = arrays(1, (x.shape[0], n + model.m))
-        xh[:, :n] = x
-        xh[:, n:] = h
+        # the rule layer writes x into the first n columns of [x, h(x)]
+        xh = arrays(1, (scheme.n_m * points_per_draw(scheme, n), n + model.m))
+        x, w = sigma_points(pred, scheme, rng, alloc=lambda shape: xh[:, :n])
+        xh[:, n:] = _model_values(model.h, x, model.m, "observation function")
         mean, joint = _centred_moments(xh, w, arrays)
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(joint))):
         raise DivergenceError("observation prediction produced non-finite moments")

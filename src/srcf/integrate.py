@@ -122,13 +122,15 @@ def sigma_points(
     weights in row s of w.  Each block equals what that stream alone gives,
     bit for bit.
 
-    ``alloc(shape)``, when given, returns the C-contiguous float64 array that
-    x is written into (the filter phases pass a reused buffer); by default x
-    is a fresh array.
+    ``alloc(shape)``, when given, returns the float64 array that x is
+    written into, in any memory layout (the filter phases pass a reused
+    buffer); by default x is a fresh array.
 
     Returns
     -------
     x : (n_m * P, n) array, or (S * n_m * P, n) for a sequence
+        Column-major by default: each coordinate of all points is
+        contiguous.  With ``alloc`` it is a view of the array alloc gave.
     w : (n_m * P,) array, or (S, n_m * P) for a sequence
         Each row sums to one, so E[f(x)] is estimated by ``w @ f(x)``.
     """

@@ -12,8 +12,13 @@ __all__ = ["spd_sqrt", "haar_orthogonal_batch", "symmetrize", "checked_covarianc
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Return the symmetric part (A + A^T) / 2."""
-    return 0.5 * (a + a.T)
+    """Return the symmetric part (A + A^T) / 2, finite for every finite A.
+
+    Halving each term before the sum keeps entries near the largest float
+    from overflowing; above the subnormal range the halving is exact, so
+    this rounds as 0.5 * (A + A^T) would.
+    """
+    return 0.5 * a + 0.5 * a.T
 
 
 def checked_covariance(a, name: str, dim: int | None = None) -> np.ndarray:

@@ -255,6 +255,10 @@ def _simplex_directions(n: int) -> tuple[np.ndarray, np.ndarray]:
     return dirs, weights
 
 
+_SIGNS = np.array([1.0, -1.0])
+_SIGNS.setflags(write=False)
+
+
 @lru_cache(maxsize=None)
 def _identity(n: int) -> np.ndarray:
     """The n x n identity: the square root of the standard-normal covariance,
@@ -264,33 +268,46 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
-def _symmetric_rule(dirs, sphere_w, radii, center_w, radial_w, mean, alloc):
+def _column_major(shape: tuple[int, int]) -> np.ndarray:
+    return np.empty(shape, order="F")
+
+
+def _symmetric_rule(cols, sphere_w, radii, center_w, radial_w, mean, alloc):
     """The mean plus +-r d for every radius r and direction d, with product weights.
 
-    ``dirs`` is (D, n), or (size, D, n) for per-draw rotated directions,
-    already mapped to state space, and ``sphere_w`` (D,) the weight of each
-    +-direction point on the sphere.  ``radii`` and ``radial_w`` are
-    (size, K); ``center_w`` is (size,), or None for a rule without a centre.
-    Points are laid out as the centre (the mean), then for each radius
-    mean + r dirs and mean - r dirs, and are written into
-    ``alloc((size * P, n))``.
+    ``cols`` is (n, D), or (size, n, D) for per-draw rotated directions,
+    whose columns are the directions d already mapped to state space, and
+    ``sphere_w`` (D,) the weight of each +-direction point on the sphere.
+    ``radii`` and ``radial_w`` are (size, K); ``center_w`` is (size,), or
+    None for a rule without a centre.  Points are laid out as the centre
+    (the mean), then for each radius mean + r d and mean - r d over the
+    directions, and are written into ``alloc((size * P, n))``.
     """
     size, k = radii.shape
-    d, n = dirs.shape[-2:]
+    n, d = cols.shape[-2:]
     first = 0 if center_w is None else 1
     p = first + 2 * k * d
     points = alloc((size * p, n)).reshape(size, p, n)
     weights = np.empty((size, p))
+    # Three passes along each coordinate of the points, which column-major
+    # points hold contiguously: copy every direction once per +-r point,
+    # scale by the signed radius, add the mean.  Scaling and shifting D-long
+    # runs one broadcast at a time costs about twice as much.  -r d is
+    # -(r d), and adding it to the mean rounds as subtracting r d does, so
+    # every value is mean +- r d bit for bit.
+    coords = points.transpose(2, 0, 1)
+    coords[:, :, first:].reshape(n, size, k, 2, d)[:] = (
+        cols.reshape(-1, n, 1, 1, d).transpose(1, 0, 2, 3, 4)
+    )
+    signed = np.empty((size, p))
+    signed[:, first:].reshape(size, k, 2, d)[:] = np.multiply.outer(radii, _SIGNS)[..., None]
     if center_w is not None:
-        points[:, 0] = mean
+        # the centre is mean * 0 + mean, which is the mean for finite entries
+        coords[:, :, 0] = mean[:, None]
+        signed[:, 0] = 0.0
         weights[:, 0] = center_w
-    # one flat pass per sign over (D n)-long rows, with the mean tiled once:
-    # a broadcast over n-wide rows runs at about half that speed
-    shell = points[:, first:].reshape(size, k, 2, d * n)
-    mean_row = np.tile(mean, d)
-    np.multiply(radii[:, :, None], dirs.reshape(-1, 1, d * n), out=shell[:, :, 0])
-    np.subtract(mean_row, shell[:, :, 0], out=shell[:, :, 1])
-    np.add(mean_row, shell[:, :, 0], out=shell[:, :, 0])
+    np.multiply(coords, signed, out=coords)
+    np.add(coords, mean[:, None, None], out=coords)
     weights[:, first:].reshape(size, k, 2, d)[:] = (radial_w[:, :, None] * sphere_w)[:, :, None]
     return points, weights
 
@@ -321,9 +338,10 @@ def draw_rule_batch(
     single-stream calls bit for bit.  The rotation and point assembly run
     once over the whole stack.
 
-    ``alloc(shape)``, when given, returns the C-contiguous float64
-    (rows, n) array the points are written into; by default they go to a
-    fresh array.
+    ``alloc(shape)``, when given, returns the float64 (rows, n) array the
+    points are written into, in any memory layout; by default they go to a
+    fresh column-major array, in which each coordinate of all points is
+    contiguous.  The returned points are views of that array.
 
     Returns
     -------
@@ -343,19 +361,19 @@ def draw_rule_batch(
     kind = scheme.kind
     mean = np.zeros(n) if mean is None else mean
     root = _identity(n) if root is None else root
-    alloc = np.empty if alloc is None else alloc
+    alloc = _column_major if alloc is None else alloc
 
     if kind is SchemeKind.MC:
         m = scheme.mc_samples
         c = standard_normal_stack(streams, size, (m, n))
-        points = np.matmul(c.reshape(-1, n), root.T, out=alloc((total * m, n)))
-        points += mean
+        # the row-major product, as L c^T could round differently
+        points = np.add(c.reshape(-1, n) @ root.T, mean, out=alloc((total * m, n)))
         return points.reshape(total, m, n), np.full((total, m), 1.0 / m)
 
     if kind is SchemeKind.CKF3:
-        # the axes L e_i are the rows of L^T
+        # the axes L e_i are the columns of L
         return _symmetric_rule(
-            root.T, np.full(n, 1.0 / (2 * n)), np.full((total, 1), np.sqrt(n)),
+            root, np.full(n, 1.0 / (2 * n)), np.full((total, 1), np.sqrt(n)),
             None, np.ones((total, 1)), mean, alloc,
         )
 
@@ -363,10 +381,9 @@ def draw_rule_batch(
         rho = np.concatenate([sample_chi(n + 2, s, size=size) for s in streams])
         q = haar_orthogonal_batch(n, size, streams)
         w0, w1 = radial_weights_deg3(n, rho)
-        # the random axes L Q e_i are the rows of (L Q)^T
-        axes = np.swapaxes(root @ q, 1, 2)
+        # the random axes L Q e_i are the columns of L Q
         return _symmetric_rule(
-            axes, np.full(n, 1.0 / (2 * n)), rho[:, None], w0, w1[:, None], mean, alloc
+            root @ q, np.full(n, 1.0 / (2 * n)), rho[:, None], w0, w1[:, None], mean, alloc
         )
 
     # Fifth-degree family: simplex surface rule composed with a radial rule.
@@ -383,12 +400,14 @@ def draw_rule_batch(
         radii, radial_w = rho[:, None], w1[:, None]
     else:
         raise ValueError(f"unsupported scheme kind {kind!r}")
+    # the directions as rows times (L Q)^T, whose rounding the points keep,
+    # then transposed to columns L Q d
     if kind is SchemeKind.CKF5:
-        dirs = dirs @ root.T  # rows L d for every direction d
+        cols = (dirs @ root.T).T
     else:
         q = haar_orthogonal_batch(n, size, streams)
-        dirs = dirs @ np.swapaxes(root @ q, 1, 2)  # rows L Q d for every direction d
-    return _symmetric_rule(dirs, sphere_w, radii, w0, radial_w, mean, alloc)
+        cols = np.swapaxes(dirs @ np.swapaxes(root @ q, 1, 2), 1, 2)
+    return _symmetric_rule(cols, sphere_w, radii, w0, radial_w, mean, alloc)
 
 
 def points_per_draw(scheme: IntegrationScheme, n: int) -> int:

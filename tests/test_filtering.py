@@ -607,7 +607,8 @@ class TestFallbackPolicy:
         obs = predict_observation(belief, model, sch, RngStream(0))
         x, w = sigma_points(belief, sch, RngStream(0))
         _, joint = filtering._centred_moments(
-            np.hstack([x, model.h.fn(x)[:, None]]), w, lambda slot, shape: np.empty(shape)
+            np.asfortranarray(np.hstack([x, model.h.fn(x)[:, None]])), w,
+            lambda slot, shape: np.empty(shape, order="F"),
         )
         raw_pxy, raw_pyy = joint[:n, n:], joint[n:, n:]
         if n == 10:
@@ -745,7 +746,7 @@ class TestPhaseScratch:
         n = 3
 
         def model(copy):
-            fn = (lambda x: x.copy()) if copy else (lambda x: x)
+            fn = (lambda x: x.copy(order="K")) if copy else (lambda x: x)
             return StateSpaceModel(f=VectorFunction(fn, vectorized=True),
                                    h=VectorFunction(fn, vectorized=True),
                                    q=np.eye(n), r=np.eye(n), n=n, m=n)
@@ -755,6 +756,58 @@ class TestPhaseScratch:
         sch = scheme("sif5", n_m=3)
         _assert_same_posteriors(run_filter(model(False), sch, ys, init, RngStream(29)),
                                 run_filter(model(True), sch, ys, init, RngStream(29)))
+
+    def test_observation_points_are_written_beside_their_values(self):
+        # the rule layer writes x straight into the joint [x, h(x)] buffer
+        ssm, sch, _, init, rng = _growth_run(5, "sif5", 3)
+        seen = []
+
+        def h(x):
+            seen.append(x.flags.f_contiguous and np.shares_memory(x, filtering._scratch.slots[1]))
+            return ssm.h.fn(x)
+
+        model = StateSpaceModel(f=ssm.f, h=VectorFunction(h, vectorized=True), q=ssm.q, r=ssm.r,
+                                n=ssm.n, m=ssm.m)
+        predict_observation(init, model, sch, rng)
+        assert seen == [True]
+
+    def test_nested_phase_points_are_column_major(self):
+        n = 3
+        sch = scheme("sif5", n_m=2)
+        layouts = []
+
+        def inner_f(x):
+            layouts.append(x.flags.f_contiguous)
+            return 0.5 * x
+
+        inner = StateSpaceModel(f=VectorFunction(inner_f, vectorized=True), h=lambda x: x,
+                                q=np.eye(n), r=np.eye(n), n=n, m=n)
+
+        def nested_h(x):
+            layouts.append(x.flags.f_contiguous)
+            predict_state(GaussianBelief(np.zeros(n), np.eye(n)), inner, sch, RngStream(32))
+            return (x * x).sum(axis=1)
+
+        outer = StateSpaceModel(f=VectorFunction(lambda x: x, vectorized=True),
+                                h=VectorFunction(nested_h, vectorized=True),
+                                q=np.eye(n), r=np.eye(1), n=n, m=1)
+        predict_observation(GaussianBelief(np.ones(n), np.eye(n)), outer, sch, RngStream(33))
+        assert layouts == [True, True]
+
+    def test_row_major_model_values(self):
+        # a transition returning a row-major stack runs the same reduction in
+        # another summation order: the posteriors agree to rounding
+        ssm, sch, ys, init, rng = _growth_run(10, "sif5", 5, steps=6)
+
+        def model(f):
+            return StateSpaceModel(f=VectorFunction(f, vectorized=True), h=ssm.h, q=ssm.q, r=ssm.r,
+                                   n=ssm.n, m=ssm.m)
+
+        given = run_filter(model(lambda x: x), sch, ys, init, rng)
+        row_major = run_filter(model(lambda x: np.ascontiguousarray(x)), sch, ys, init, rng)
+        for a, b in zip(given, row_major):
+            for got, want in ((a.mean, b.mean), (a.cov, b.cov)):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="page-fault counts reflect glibc's allocator")

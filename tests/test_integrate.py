@@ -131,6 +131,13 @@ class TestStateSpaceAssembly:
         assert len(buffers) == 1 and np.shares_memory(x, buffers[0])
         np.testing.assert_array_equal(x, sigma_points(belief, sch, RngStream(29))[0])
 
+    @pytest.mark.parametrize("label", ALL_LABELS)
+    def test_points_are_column_major(self, label):
+        belief, sch = random_belief(5, 30), scheme(label, n_m=1 if label.startswith("ckf") else 3, mc=40)
+        x, _ = sigma_points(belief, sch, RngStream(31))
+        xs, _ = sigma_points(belief, sch, [RngStream(31).substream(r) for r in range(4)])
+        assert x.flags.f_contiguous and xs.flags.f_contiguous
+
 
 class TestStreamSequence:
     """A sequence of streams: one lockstep integral per stream."""

@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from srcf.filtering import StateSpaceModel
 from srcf.integrate import GaussianBelief
-from srcf.linalg import checked_covariance, diagonal_jitter, haar_orthogonal_batch, spd_sqrt
+from srcf.linalg import (
+    checked_covariance, diagonal_jitter, haar_orthogonal_batch, spd_sqrt, symmetrize,
+)
 from srcf.rng import RngStream
 
 
@@ -58,6 +62,21 @@ class TestCovarianceGuard:
             checked_covariance(np.zeros((0, 0)), "P")
         with pytest.raises(ValueError, match="non-empty square"):
             checked_covariance(1.0, "P")
+
+
+class TestSymmetrize:
+    def test_finite_near_the_largest_float(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cov = GaussianBelief(np.zeros(1), np.array([[1.7e308]])).cov
+        np.testing.assert_array_equal(cov, [[1.7e308]])
+
+    def test_rounds_as_the_halved_sum(self):
+        # halving before the sum is exact above the subnormal range
+        rng = np.random.default_rng(30)
+        for _ in range(300):
+            a = rng.standard_normal((10, 10)) * 10.0 ** rng.uniform(-300, 300, (10, 10))
+            assert symmetrize(a).tobytes() == (0.5 * (a + a.T)).tobytes()
 
 
 class TestDiagonalJitter:

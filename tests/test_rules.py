@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from srcf.linalg import haar_orthogonal_batch
 from srcf.rng import RngStream
 from srcf.rules import (
     IntegrationScheme,
@@ -239,6 +240,57 @@ class TestBuildRule:
         w0, w1 = radial_weights_deg3(n, sample_chi(n + 2, RngStream(42), size=size))
         np.testing.assert_array_equal(w[:, 0], w0)
         np.testing.assert_allclose(w[:, 1:], np.repeat(w1[:, None] / (2 * n), 2 * n, axis=1), rtol=1e-15)
+
+
+def _row_major_points(label, n, size, rng, mean, root):
+    """A rule's state-space points as built row by row: the centre, then
+    mean +- r (L Q d) for each radius r, with the mean tiled along a row of
+    directions, drawing the variates in the order `draw_rule_batch` does."""
+    if label == "mc":
+        c = rng.generator.standard_normal((size, 50, n))
+        return (c.reshape(-1, n) @ root.T + mean).reshape(size, 50, n)
+    if label == "ckf3":
+        rows, radii, centre = np.broadcast_to(root.T, (size, n, n)), np.full((size, 1), np.sqrt(n)), False
+    elif label == "sif3":
+        radii = sample_chi(n + 2, rng, size=size)[:, None]
+        rows, centre = np.swapaxes(root @ haar_orthogonal_batch(n, size, rng), 1, 2), True
+    else:
+        dirs = np.concatenate([simplex_vertices(n), simplex_midpoints(n, simplex_vertices(n))])
+        if label == "sif5":
+            radii = np.stack(_radial_pair_batch(n, size, rng), axis=1)
+        else:
+            radii = np.full((size, 1), np.sqrt(n + 2.0))
+        if label == "ckf5":
+            rows = np.broadcast_to(dirs @ root.T, (size,) + dirs.shape)
+        else:
+            rows = dirs @ np.swapaxes(root @ haar_orthogonal_batch(n, size, rng), 1, 2)
+        centre = True
+    mean_row = np.tile(mean, rows.shape[1])
+    draws = []
+    for draw_rows, draw_radii in zip(rows, radii):
+        parts = [mean[None]] if centre else []
+        for r in draw_radii:
+            shell = r * draw_rows.reshape(-1)
+            parts += [(mean_row + shell).reshape(-1, n), (mean_row - shell).reshape(-1, n)]
+        draws.append(np.concatenate(parts))
+    return np.stack(draws)
+
+
+class TestPointValues:
+    """Column-major storage leaves every point value as the row-by-row build gives it."""
+
+    @pytest.mark.parametrize("n", [2, 6, 10, 20])
+    @pytest.mark.parametrize("label", ALL_LABELS)
+    def test_equal_to_the_row_major_build(self, label, n):
+        gen = np.random.default_rng(n)
+        a = gen.standard_normal((n, n))
+        root, mean = np.linalg.cholesky(a @ a.T + np.eye(n)), 10.0 * gen.standard_normal(n)
+        expected = _row_major_points(label, n, 3, RngStream(56, stream_id=label), mean, root)
+        # the default column-major array, and a row-major buffer given as alloc
+        for alloc in (None, np.empty):
+            points, _ = draw_rule_batch(scheme(label, mc=50), n, 3, RngStream(56, stream_id=label),
+                                        mean=mean, root=root, alloc=alloc)
+            assert points.tobytes() == expected.tobytes()
 
 
 class TestStreamSequence:
