@@ -240,6 +240,8 @@ def parse_config(argv) -> BenchConfig:
         label = label.strip().lower()
         if not label:
             continue
+        if any(s.label == label for s in schemes):
+            raise ValueError(f"--schemes names {label} more than once")
         scheme = IntegrationScheme.from_label(
             label,
             n_m=nm.get(label, 1),

@@ -7,10 +7,9 @@ SIF3/SIF5/QSIF5/MC), and the correction step is the standard linear update.
 
 from __future__ import annotations
 
-import math
+import contextlib
 import threading
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -102,71 +101,63 @@ def _model_values(fn: VectorFunction, x: np.ndarray, out_dim: int, name: str) ->
     return vals
 
 
-def _fresh_array(slot: int, shape: tuple[int, int]) -> np.ndarray:
-    return np.empty(shape, order="F")
-
-
 class _PhaseScratch(threading.local):
     """Grow-only float64 buffers that one thread's filter phases reuse.
 
-    Every array handed out is column-major (each column contiguous), the
-    layout the rule layer writes points in and along which the moment
-    reduction runs.  Slot 0 holds the sigma points of the state prediction
-    and, once the model values no longer need them, the weighted copy of
-    the centred values; slot 1 holds the centred values (f(x) - mean, or
-    the joint [x, h(x)] of the observation prediction, whose first columns
-    are its sigma points, centred in place).  Fresh (points, n) arrays on
-    every phase are large enough that the allocator returns their pages to
-    the system and faults them in again on the next phase; reused buffers
-    avoid that.  The weighted copy reuses the points' slot because a third
-    resident buffer raised the peak memory above that of fresh arrays.  An
-    array taken from a slot is valid until the thread's next phase, so
-    nothing a phase returns may alias one.
-
-    Used as ``with _scratch as arrays:``, which yields ``arrays(slot,
-    shape)``.  A phase entered while another phase of the same thread holds
-    the scratch (a model function that runs a filter phase itself) gets
-    fresh arrays instead.
+    ``with _scratch.pair(rows, cols) as (a, b):`` yields two (rows, cols)
+    column-major arrays (each column contiguous), the layout the rule layer
+    writes points in and along which the moment reduction runs.  Slot 0
+    holds the sigma points of the state prediction and, once the model
+    values no longer need them, the weighted copy of the centred values;
+    slot 1 holds the centred values (f(x) - mean, or the joint [x, h(x)] of
+    the observation prediction, whose first columns are its sigma points,
+    centred in place).  Fresh (points, n) arrays on every phase are large
+    enough that their pages go back to the system when freed and fault in
+    again on the next phase; reused buffers avoid that.  The weighted copy
+    reuses the points' slot because a third resident buffer raised the peak
+    memory above that of fresh arrays.  The arrays are valid until the
+    thread's next phase, so nothing a phase returns may alias one.  A phase
+    entered while another phase of the same thread holds the buffers (a
+    model function that runs a filter phase itself) gets two fresh arrays
+    instead.
     """
 
     def __init__(self):
-        self.depth = 0
+        self.busy = False
         self.slots = [np.empty(0), np.empty(0)]
 
-    def _take(self, slot: int, shape: tuple[int, int]) -> np.ndarray:
-        size = math.prod(shape)
-        if self.slots[slot].size < size:
-            self.slots[slot] = np.empty(size)
-        return self.slots[slot][:size].reshape(shape, order="F")
-
-    def __enter__(self) -> Callable[[int, tuple[int, int]], np.ndarray]:
-        self.depth += 1
-        return self._take if self.depth == 1 else _fresh_array
-
-    def __exit__(self, *exc) -> None:
-        self.depth -= 1
+    @contextlib.contextmanager
+    def pair(self, rows: int, cols: int):
+        if self.busy:
+            yield np.empty((rows, cols), order="F"), np.empty((rows, cols), order="F")
+            return
+        size = rows * cols
+        self.slots = [slot if slot.size >= size else np.empty(size) for slot in self.slots]
+        self.busy = True
+        try:
+            yield tuple(slot[:size].reshape((rows, cols), order="F") for slot in self.slots)
+        finally:
+            self.busy = False
 
 
 _scratch = _PhaseScratch()
 
 
 def _centred_moments(
-    vals: np.ndarray,
-    w: np.ndarray,
-    arrays: Callable[[int, tuple[int, int]], np.ndarray],
+    vals: np.ndarray, w: np.ndarray, dev: np.ndarray, wdev: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weighted mean and centred Gram matrix sum_p w_p (v_p - mean)(v_p - mean)^T.
 
     With weights summing to one this equals E[v v^T] - mean mean^T, but
     does not cancel two large numbers when the mean dwarfs the spread.  The
-    deviations go to ``arrays(1, ...)`` (``vals`` itself when it already
-    lives there) and their weighted copy to ``arrays(0, ...)``, which may
-    hold the sigma points that ``vals`` was computed from.  With
+    deviations go to ``dev`` (which may be ``vals`` itself) and their
+    weighted copy to ``wdev``, which may hold the sigma points that
+    ``vals`` was computed from; both have the shape of ``vals``.  With
     column-major arrays every pass runs along one contiguous column.
     """
     mean = w @ vals
-    dev = np.subtract(vals, mean, out=arrays(1, vals.shape))
-    wdev = np.multiply(dev, w[:, None], out=arrays(0, vals.shape))
+    np.subtract(vals, mean, out=dev)
+    np.multiply(dev, w[:, None], out=wdev)
     return mean, symmetrize(wdev.T @ dev)
 
 
@@ -216,10 +207,11 @@ def predict_state(
     """
     if prior.dim != model.n:
         raise ValueError(f"prior dimension {prior.dim} != model state dimension {model.n}")
-    with _scratch as arrays:
-        x, w = sigma_points(prior, scheme, rng, alloc=partial(arrays, 0))
+    rows = scheme.n_m * points_per_draw(scheme, model.n)
+    with _scratch.pair(rows, model.n) as (points, dev):
+        x, w = sigma_points(prior, scheme, rng, out=points)
         fx = _model_values(model.f, x, model.n, "transition function")
-        mean, cov = _centred_moments(fx, w, arrays)
+        mean, cov = _centred_moments(fx, w, dev, points)
     return _belief("state prediction", mean, cov + model.q)
 
 
@@ -246,12 +238,12 @@ def predict_observation(
     if pred.dim != model.n:
         raise ValueError(f"belief dimension {pred.dim} != model state dimension {model.n}")
     n = model.n
-    with _scratch as arrays:
+    rows = scheme.n_m * points_per_draw(scheme, n)
+    with _scratch.pair(rows, n + model.m) as (wdev, xh):
         # the rule layer writes x into the first n columns of [x, h(x)]
-        xh = arrays(1, (scheme.n_m * points_per_draw(scheme, n), n + model.m))
-        x, w = sigma_points(pred, scheme, rng, alloc=lambda shape: xh[:, :n])
+        x, w = sigma_points(pred, scheme, rng, out=xh[:, :n])
         xh[:, n:] = _model_values(model.h, x, model.m, "observation function")
-        mean, joint = _centred_moments(xh, w, arrays)
+        mean, joint = _centred_moments(xh, w, xh, wdev)
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(joint))):
         raise DivergenceError("observation prediction produced non-finite moments")
     y_hat, pxy, pyy_raw = mean[n:], joint[:n, n:], joint[n:, n:]

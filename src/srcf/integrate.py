@@ -106,7 +106,7 @@ def sigma_points(
     belief: GaussianBelief,
     scheme: IntegrationScheme,
     rng: RngStream | Sequence[RngStream],
-    alloc: Callable[[tuple[int, int]], np.ndarray] | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The state-space points and weights of one integral under the belief.
 
@@ -122,22 +122,23 @@ def sigma_points(
     weights in row s of w.  Each block equals what that stream alone gives,
     bit for bit.
 
-    ``alloc(shape)``, when given, returns the float64 array that x is
+    ``out``, when given, is the float64 array of x's shape that x is
     written into, in any memory layout (the filter phases pass a reused
-    buffer); by default x is a fresh array.
+    buffer); `draw_rule_batch` rejects any other dtype or shape.  By
+    default x is a fresh array.
 
     Returns
     -------
     x : (n_m * P, n) array, or (S * n_m * P, n) for a sequence
         Column-major by default: each coordinate of all points is
-        contiguous.  With ``alloc`` it is a view of the array alloc gave.
+        contiguous.  With ``out`` it is a view of ``out``.
     w : (n_m * P,) array, or (S, n_m * P) for a sequence
         Each row sums to one, so E[f(x)] is estimated by ``w @ f(x)``.
     """
     n = belief.dim
     root = spd_sqrt(belief.cov)
     points, weights = draw_rule_batch(
-        scheme, n, scheme.n_m, rng, mean=belief.mean, root=root, alloc=alloc
+        scheme, n, scheme.n_m, rng, mean=belief.mean, root=root, out=out
     )
     w = weights.reshape(-1, scheme.n_m * weights.shape[1]) / scheme.n_m
     return points.reshape(-1, n), (w[0] if isinstance(rng, RngStream) else w)

@@ -25,7 +25,7 @@ MC      plain Monte-Carlo: i.i.d. standard-normal points, equal weights.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -268,11 +268,7 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
-def _column_major(shape: tuple[int, int]) -> np.ndarray:
-    return np.empty(shape, order="F")
-
-
-def _symmetric_rule(cols, sphere_w, radii, center_w, radial_w, mean, alloc):
+def _symmetric_rule(cols, sphere_w, radii, center_w, radial_w, mean, out):
     """The mean plus +-r d for every radius r and direction d, with product weights.
 
     ``cols`` is (n, D), or (size, n, D) for per-draw rotated directions,
@@ -281,13 +277,13 @@ def _symmetric_rule(cols, sphere_w, radii, center_w, radial_w, mean, alloc):
     ``radii`` and ``radial_w`` are (size, K); ``center_w`` is (size,), or
     None for a rule without a centre.  Points are laid out as the centre
     (the mean), then for each radius mean + r d and mean - r d over the
-    directions, and are written into ``alloc((size * P, n))``.
+    directions, and are written into ``out``, of shape (size * P, n).
     """
     size, k = radii.shape
     n, d = cols.shape[-2:]
     first = 0 if center_w is None else 1
-    p = first + 2 * k * d
-    points = alloc((size * p, n)).reshape(size, p, n)
+    p = out.shape[0] // size
+    points = out.reshape(size, p, n)
     weights = np.empty((size, p))
     # Three passes along each coordinate of the points, which column-major
     # points hold contiguously: copy every direction once per +-r point,
@@ -320,7 +316,7 @@ def draw_rule_batch(
     *,
     mean: np.ndarray | None = None,
     root: np.ndarray | None = None,
-    alloc: Callable[[tuple[int, int]], np.ndarray] | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``size`` independent realizations of a scheme's point set per stream.
 
@@ -338,10 +334,12 @@ def draw_rule_batch(
     single-stream calls bit for bit.  The rotation and point assembly run
     once over the whole stack.
 
-    ``alloc(shape)``, when given, returns the float64 (rows, n) array the
-    points are written into, in any memory layout; by default they go to a
-    fresh column-major array, in which each coordinate of all points is
-    contiguous.  The returned points are views of that array.
+    ``out``, when given, is the float64 (len(streams) * size * P, n) array
+    the points are written into, in any memory layout (a column slice of a
+    wider array, say); any other dtype or shape is a `ValueError`.  By
+    default the points go to a fresh column-major array, in which each
+    coordinate of all points is contiguous.  The returned points are a view
+    of that array.  ``mean`` must have shape (n,) and ``root`` shape (n, n).
 
     Returns
     -------
@@ -361,20 +359,28 @@ def draw_rule_batch(
     kind = scheme.kind
     mean = np.zeros(n) if mean is None else mean
     root = _identity(n) if root is None else root
-    alloc = _column_major if alloc is None else alloc
+    if np.shape(mean) != (n,):
+        raise ValueError(f"mean must have shape ({n},), got shape {np.shape(mean)}")
+    if np.shape(root) != (n, n):
+        raise ValueError(f"root must have shape ({n}, {n}), got shape {np.shape(root)}")
+    rows = total * points_per_draw(scheme, n)
+    if out is None:
+        out = np.empty((rows, n), order="F")
+    elif out.dtype != np.float64 or out.shape != (rows, n):
+        raise ValueError(f"out must be float64 of shape ({rows}, {n}), got {out.dtype} {out.shape}")
 
     if kind is SchemeKind.MC:
         m = scheme.mc_samples
         c = standard_normal_stack(streams, size, (m, n))
         # the row-major product, as L c^T could round differently
-        points = np.add(c.reshape(-1, n) @ root.T, mean, out=alloc((total * m, n)))
-        return points.reshape(total, m, n), np.full((total, m), 1.0 / m)
+        np.add(c.reshape(-1, n) @ root.T, mean, out=out)
+        return out.reshape(total, m, n), np.full((total, m), 1.0 / m)
 
     if kind is SchemeKind.CKF3:
         # the axes L e_i are the columns of L
         return _symmetric_rule(
             root, np.full(n, 1.0 / (2 * n)), np.full((total, 1), np.sqrt(n)),
-            None, np.ones((total, 1)), mean, alloc,
+            None, np.ones((total, 1)), mean, out,
         )
 
     if kind is SchemeKind.SIF3:
@@ -383,7 +389,7 @@ def draw_rule_batch(
         w0, w1 = radial_weights_deg3(n, rho)
         # the random axes L Q e_i are the columns of L Q
         return _symmetric_rule(
-            root @ q, np.full(n, 1.0 / (2 * n)), rho[:, None], w0, w1[:, None], mean, alloc
+            root @ q, np.full(n, 1.0 / (2 * n)), rho[:, None], w0, w1[:, None], mean, out
         )
 
     # Fifth-degree family: simplex surface rule composed with a radial rule.
@@ -407,7 +413,7 @@ def draw_rule_batch(
     else:
         q = haar_orthogonal_batch(n, size, streams)
         cols = np.swapaxes(dirs @ np.swapaxes(root @ q, 1, 2), 1, 2)
-    return _symmetric_rule(cols, sphere_w, radii, w0, radial_w, mean, alloc)
+    return _symmetric_rule(cols, sphere_w, radii, w0, radial_w, mean, out)
 
 
 def points_per_draw(scheme: IntegrationScheme, n: int) -> int:

@@ -60,6 +60,12 @@ class TestParseConfig:
         assert cfg.nm["sif5"] == 4
         assert cfg.format == "json"
 
+    def test_scheme_twice_in_config_file_rejected(self, tmp_path):
+        path = tmp_path / "twice.cfg"
+        path.write_text("schemes = sif5,ckf3,sif5\n")
+        with pytest.raises(ValueError, match="sif5 more than once"):
+            parse_config(["integral-bench", "--config", str(path)])
+
     def test_unknown_config_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("bogus = 1\n")
@@ -183,9 +189,13 @@ class TestExitCodes:
             ["rule-check", "--schemes", "mc"],
             ["filter-bench", "--q", "60", "--n", "2", "--nmc", "1", "--steps", "5"],
             ["integral-bench", "--n", "1", "--schemes", "ckf3,sif3,mc", "--runs", "2"],
+            ["filter-bench", "--n", "2", "--q", "1", "--steps", "2", "--nmc", "1",
+             "--schemes", "sif5,sif5"],
+            ["rule-check", "--runs", "2", "--schemes", "ckf3, CKF3"],
         ],
         ids=["runs-zero", "missing-config", "seed-too-large", "sif5-n1", "ckf5-n1",
-             "qsif5-n1", "rule-check-mc", "trajectory-overflow", "integral-n1"],
+             "qsif5-n1", "rule-check-mc", "trajectory-overflow", "integral-n1",
+             "scheme-twice", "rule-check-scheme-twice"],
     )
     def test_bad_value_returns_2(self, argv, capsys):
         assert main(argv) == 2

@@ -606,10 +606,8 @@ class TestFallbackPolicy:
         sch = scheme("ckf5")
         obs = predict_observation(belief, model, sch, RngStream(0))
         x, w = sigma_points(belief, sch, RngStream(0))
-        _, joint = filtering._centred_moments(
-            np.asfortranarray(np.hstack([x, model.h.fn(x)[:, None]])), w,
-            lambda slot, shape: np.empty(shape, order="F"),
-        )
+        xh = np.asfortranarray(np.hstack([x, model.h.fn(x)[:, None]]))
+        _, joint = filtering._centred_moments(xh, w, np.empty_like(xh), np.empty_like(xh))
         raw_pxy, raw_pyy = joint[:n, n:], joint[n:, n:]
         if n == 10:
             assert raw_pyy[0, 0] < 0

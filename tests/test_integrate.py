@@ -10,7 +10,7 @@ from srcf.integrate import (
 )
 from srcf.linalg import spd_sqrt
 from srcf.rng import RngStream
-from srcf.rules import IntegrationScheme, draw_rule_batch
+from srcf.rules import IntegrationScheme, draw_rule_batch, points_per_draw
 
 ALL_LABELS = ["ckf3", "ckf5", "sif3", "sif5", "qsif5", "mc"]
 
@@ -120,16 +120,18 @@ class TestStateSpaceAssembly:
         np.testing.assert_array_equal(w, weights.reshape(-1) / sch.n_m)
 
     def test_points_go_into_the_given_buffer(self):
-        belief, sch = random_belief(4, 28), scheme("sif5", n_m=2)
-        buffers = []
-
-        def alloc(shape):
-            buffers.append(np.empty(shape))
-            return buffers[-1]
-
-        x, _ = sigma_points(belief, sch, RngStream(29), alloc=alloc)
-        assert len(buffers) == 1 and np.shares_memory(x, buffers[0])
-        np.testing.assert_array_equal(x, sigma_points(belief, sch, RngStream(29))[0])
+        # a row-major array, a column-major one and a column slice of a wider array
+        n = 4
+        belief = random_belief(n, 28)
+        for label in ALL_LABELS:
+            sch = scheme(label, n_m=1 if label.startswith("ckf") else 2, mc=40)
+            rows = sch.n_m * points_per_draw(sch, n)
+            expected = sigma_points(belief, sch, RngStream(29))[0]
+            for out in (np.empty((rows, n)), np.empty((rows, n), order="F"),
+                        np.empty((rows, n + 3), order="F")[:, 1:n + 1]):
+                x, _ = sigma_points(belief, sch, RngStream(29), out=out)
+                assert np.shares_memory(x, out) and np.array_equal(x, out)
+                assert x.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("label", ALL_LABELS)
     def test_points_are_column_major(self, label):

@@ -286,11 +286,30 @@ class TestPointValues:
         a = gen.standard_normal((n, n))
         root, mean = np.linalg.cholesky(a @ a.T + np.eye(n)), 10.0 * gen.standard_normal(n)
         expected = _row_major_points(label, n, 3, RngStream(56, stream_id=label), mean, root)
-        # the default column-major array, and a row-major buffer given as alloc
-        for alloc in (None, np.empty):
-            points, _ = draw_rule_batch(scheme(label, mc=50), n, 3, RngStream(56, stream_id=label),
-                                        mean=mean, root=root, alloc=alloc)
+        sch = scheme(label, mc=50)
+        # the default column-major array, and a row-major array given as out
+        for out in (None, np.empty((3 * points_per_draw(sch, n), n))):
+            points, _ = draw_rule_batch(sch, n, 3, RngStream(56, stream_id=label),
+                                        mean=mean, root=root, out=out)
             assert points.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("label", ALL_LABELS)
+    def test_mis_shaped_mean_or_root_rejected(self, label):
+        # a (1,) mean would broadcast to every coordinate, a 2 x 2 root fail inside numpy
+        sch, n = scheme(label, mc=50), 3
+        with pytest.raises(ValueError, match="mean"):
+            draw_rule_batch(sch, n, 2, RngStream(57), mean=np.array([5.0]))
+        with pytest.raises(ValueError, match="root"):
+            draw_rule_batch(sch, n, 2, RngStream(57), root=np.eye(2))
+
+    @pytest.mark.parametrize("label", ALL_LABELS)
+    def test_wrong_out_rejected(self, label):
+        sch, n = scheme(label, mc=50), 3
+        rows = 2 * points_per_draw(sch, n)
+        for out in (np.empty((rows, n), dtype=np.float32), np.empty((rows + 1, n)),
+                    np.empty((rows, n + 1)), np.empty(rows * n)):
+            with pytest.raises(ValueError, match="out"):
+                draw_rule_batch(sch, n, 2, RngStream(58), out=out)
 
 
 class TestStreamSequence:
