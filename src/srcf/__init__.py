@@ -43,8 +43,7 @@ from .rules import (
     SchemeKind,
     draw_rule_batch,
     gaussian_monomial_moment,
-    radial_weights_deg3,
-    radial_weights_deg5,
+    radial_weights,
     reported_eval_count,
     simplex_midpoints,
     simplex_vertices,
@@ -60,8 +59,7 @@ __all__ = [
     "sample_beta",
     "SchemeKind",
     "IntegrationScheme",
-    "radial_weights_deg5",
-    "radial_weights_deg3",
+    "radial_weights",
     "simplex_vertices",
     "simplex_midpoints",
     "spherical_weights_deg5",

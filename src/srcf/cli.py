@@ -135,28 +135,40 @@ class BenchConfig:
         return {s.label: s.n_m for s in self.schemes}
 
 
-def _parse_nm_items(items) -> dict:
+def _to_int(text: str, source: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{source} must be an integer, got {text!r}") from None
+
+
+def _parse_nm(text: str, source: str) -> dict:
+    """Repetition counts from ``<scheme>=<int>`` items; errors name ``source``."""
     nm = {}
-    for item in items:
-        for part in str(item).split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                raise ValueError(f"--nm expects <scheme>=<int>, got {part!r}")
-            label, _, value = part.partition("=")
-            label = label.strip().lower()
-            SchemeKind(label)  # validates the scheme name
-            count = int(value)
-            if count < 1:
-                raise ValueError(f"--nm {label} must be >= 1, got {count}")
-            nm[label] = count
+    for part in text.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        if "=" not in part:
+            raise ValueError(f"{source} expects <scheme>=<int>, got {part!r}")
+        label, _, value = part.partition("=")
+        label = label.strip().lower()
+        valid = [k.value for k in SchemeKind]
+        if label not in valid:
+            raise ValueError(
+                f"{source} {label}: unknown scheme; expected one of: {', '.join(valid)}"
+            )
+        count = _to_int(value.strip(), f"{source} {label}")
+        if count < 1:
+            raise ValueError(f"{source} {label} must be >= 1, got {count}")
+        nm[label] = count
     return nm
 
 
-def _read_config_file(path: str, command: str) -> dict:
+def _read_config_file(path: str, command: str) -> tuple[dict, dict]:
+    """The option values a config file sets, and the ``path:line: key`` of each."""
     options = {k: v for k, v in _COMMANDS[command].items() if k != "config"}
-    values = {}
+    values, sources = {}, {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -178,8 +190,14 @@ def _read_config_file(path: str, command: str) -> dict:
                 f"{path}:{lineno}: unknown config key {key!r} for {command} "
                 f"(valid: {', '.join(sorted(options))})"
             )
-        values[key] = options[key][0](value.strip())
-    return values
+        sources[key] = f"{path}:{lineno}: {key}"
+        value = value.strip()
+        if key == "nm":
+            value = _parse_nm(value, sources[key])
+        elif options[key][0] is int:
+            value = _to_int(value, sources[key])
+        values[key] = value
+    return values, sources
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -208,27 +226,37 @@ def parse_config(argv) -> BenchConfig:
     args = vars(_build_parser().parse_args(list(argv)))
     command = args["command"]
     options = _COMMANDS[command]
-    file_vals = _read_config_file(args["config"], command) if args["config"] else {}
+    file_vals, file_sources = {}, {}
+    if args["config"]:
+        file_vals, file_sources = _read_config_file(args["config"], command)
 
+    # every value with the flag, config line or variable it came from
     values = {name: default for name, (_, default) in options.items()}
+    sources = {name: f"--{name}" for name in options}
     env_seed = os.environ.get("SRCF_SEED")
     if env_seed is not None:
-        values["seed"] = int(env_seed)
+        values["seed"], sources["seed"] = _to_int(env_seed, "SRCF_SEED"), "SRCF_SEED"
     values.update(file_vals)
-    values.update((k, v) for k, v in args.items() if k in options and v is not None)
+    sources.update(file_sources)
+    for name, value in args.items():
+        if name in options and value is not None:
+            values[name], sources[name] = value, f"--{name}"
 
     for name, (kind, _) in options.items():
         if kind is int and name != "seed" and values[name] < 1:
-            raise ValueError(f"--{name} must be >= 1, got {values[name]}")
+            raise ValueError(f"{sources[name]} must be >= 1, got {values[name]}")
     if values["format"] not in ("csv", "json"):
-        raise ValueError(f"--format must be csv or json, got {values['format']!r}")
+        raise ValueError(f"{sources['format']} must be csv or json, got {values['format']!r}")
     if not 0 <= values["seed"] <= SEED_MAX:
-        raise ValueError(f"--seed must be in [0, 2**64 - 1], got {values['seed']}")
+        raise ValueError(f"{sources['seed']} must be in [0, 2**64 - 1], got {values['seed']}")
 
     nm = {}
     if "nm" in options:
         # later items override earlier ones: defaults, then file, then flags
-        nm = _parse_nm_items([options["nm"][1], file_vals.get("nm", ""), *(args["nm"] or [])])
+        nm = _parse_nm(options["nm"][1], "--nm")
+        nm.update(file_vals.get("nm", {}))
+        for item in args["nm"] or []:
+            nm.update(_parse_nm(item, "--nm"))
 
     n = values["n"]
     if command == "integral-bench" and n < 2:

@@ -50,10 +50,11 @@ class RngStream:
 
     Notes
     -----
-    The underlying bit generator is PCG64 keyed by a ``SeedSequence`` whose
-    spawn key encodes the derivation path, so substreams with different ids
-    never overlap.  Drawing from a stream advances its state; derive a fresh
-    substream wherever a reproducible, position-independent source is needed.
+    The underlying bit generator is PCG64 keyed by the state of
+    ``SeedSequence(entropy=seed, spawn_key=path)``, whose spawn key encodes
+    the derivation path, so substreams with different ids never overlap.
+    Drawing from a stream advances its state; derive a fresh substream
+    wherever a reproducible, position-independent source is needed.
     """
 
     __slots__ = ("seed", "path", "_gen")
@@ -73,8 +74,14 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         """The numpy Generator backing this stream (created lazily)."""
         if self._gen is None:
-            ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
-            self._gen = np.random.Generator(np.random.PCG64(ss))
+            # The state of SeedSequence(entropy=seed, spawn_key=path), from
+            # its assembled words: numpy zero-pads the seed's words to its
+            # pool size of 4 before it appends the spawn key, and hashes any
+            # pool word missing from the entropy as 0.  Handing it the words
+            # skips its int-to-word coercion.
+            seed = self.seed
+            words = np.array([seed & _MASK32, seed >> 32, 0, 0, *self.path], dtype=np.uint32)
+            self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
         return self._gen
 
     def substream(self, *ids) -> "RngStream":

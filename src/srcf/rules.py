@@ -28,7 +28,7 @@ import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -39,8 +39,7 @@ from .samplers import _radial_pair_batch, sample_chi
 __all__ = [
     "SchemeKind",
     "IntegrationScheme",
-    "radial_weights_deg5",
-    "radial_weights_deg3",
+    "radial_weights",
     "simplex_vertices",
     "simplex_midpoints",
     "spherical_weights_deg5",
@@ -135,49 +134,58 @@ class IntegrationScheme:
             )
 
 
-def radial_weights_deg5(n: int, rho1, rho2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normalized weights of the three-node fifth-degree radial rule.
+def radial_weights(n: int, nodes) -> np.ndarray:
+    """Normalized weights of the radial rule on the centre and the nodes.
 
-    Lagrange interpolation in u = r^2 on the nodes {0, rho1^2, rho2^2}
-    against the radial part of the standard Gaussian (moments E[u] = n,
-    E[u^2] = n(n+2)) gives
+    Lagrange interpolation in u = r^2 on {0, u_1, ..., u_m} against the
+    Gaussian radial moments.  With E'[u^k] = (n+2)(n+4)...(n+2k), those of
+    dimension n + 2 (E[u f(u)] = n E'[f(u)]), the weights
 
-        w0 = 1 - n (rho1^2 + rho2^2 - (n+2)) / (rho1^2 rho2^2)
-        w1 = n (n + 2 - rho2^2) / (rho1^2 (rho1^2 - rho2^2))
-        w2 = n (n + 2 - rho1^2) / (rho2^2 (rho2^2 - rho1^2))
+        w_j = n E'[prod_{i!=j} (u_i - u)] / (u_j prod_{i!=j} (u_i - u_j))
+        w_0 = 1 - n E'[Q] / prod_i u_i,   Q(u) = (prod_i u_i - prod_i (u_i - u)) / u
 
-    which sum to one for any node pair; w1, w2 may be negative.  Elementwise
-    over arrays of node pairs.
+    match E[u^k] for k <= m and sum to one; w_j may be negative.  Both
+    polynomials are sum_k (-1)^k e_{m-1-k} u^k over the elementary symmetric
+    polynomials e of their nodes, formed in node order, and E' is summed in
+    increasing k, so m = 1 (w_1 = n / r^2) and m = 2 round as their closed
+    forms do.  ``nodes`` has shape (..., m), radii non-zero and pairwise
+    distinct in r^2; the result has shape (..., m + 1), centre weight first.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    rho1 = np.asarray(rho1, dtype=np.float64)
-    rho2 = np.asarray(rho2, dtype=np.float64)
-    r1sq = rho1 * rho1
-    r2sq = rho2 * rho2
-    if np.any(r1sq == 0.0) or np.any(r2sq == 0.0) or np.any(r1sq == r2sq):
+    r = np.asarray(nodes, dtype=np.float64)
+    if r.ndim < 1 or r.shape[-1] < 1:
+        raise ValueError(f"nodes must have shape (..., m) with m >= 1, got shape {r.shape}")
+    usq = r * r
+    m = usq.shape[-1]
+    u = [usq[..., i] for i in range(m)]
+    if (usq == 0.0).any() or any((u[i] == u[j]).any() for i in range(m) for j in range(i)):
         raise ValueError("radial nodes must be distinct and nonzero")
-    w0 = 1.0 - n * (r1sq + r2sq - (n + 2.0)) / (r1sq * r2sq)
-    w1 = n * (n + 2.0 - r2sq) / (r1sq * (r1sq - r2sq))
-    w2 = n * (n + 2.0 - r1sq) / (r2sq * (r2sq - r1sq))
-    return w0, w1, w2
+    moments = np.cumprod([1.0] + [n + 2.0 * k for k in range(1, m)]).tolist()
 
+    def elementary(us):
+        # [e_1, ..., e_len], e_k + x e_{k-1} per node x, with e_0 = 1 left implicit
+        e = []
+        for x in us:
+            e = [e[0] + x] + [a + x * b for a, b in zip(e[1:], e)] + [x * e[-1]] if e else [x]
+        return e
 
-def radial_weights_deg3(n: int, rho) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized weights of the two-node third-degree radial rule.
+    def alternating(e):
+        # E'[sum_k (-1)^k e_{d-k} u^k] for e = [e_1, ..., e_d]
+        e = [1.0] + e
+        total = e[-1]
+        for k in range(1, len(e)):
+            total = total - e[-1 - k] * moments[k] if k % 2 else total + e[-1 - k] * moments[k]
+        return total
 
-    Matching the Gaussian second radial moment E[r^2] = n gives
-    w1 = n / rho^2 with the remainder on the center node.  At rho^2 = n + 2
-    the fourth moment n(n+2) is matched too, which is the CKF5 radial rule.
-    Elementwise over arrays of radii.
-    """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    rho = np.asarray(rho, dtype=np.float64)
-    if not np.all(rho > 0.0):
-        raise ValueError("radius must be positive")
-    w1 = n / (rho * rho)
-    return 1.0 - w1, w1
+    e = elementary(u)
+    w = np.empty(r.shape[:-1] + (m + 1,))
+    w[..., 0] = 1.0 - n * alternating(e[:-1]) / e[-1]
+    for j, uj in enumerate(u):
+        others = u[:j] + u[j + 1:]
+        den = reduce(np.multiply, [ui - uj for ui in others], uj)
+        w[..., j + 1] = n * alternating(elementary(others)) / den
+    return w
 
 
 def simplex_vertices(n: int) -> np.ndarray:
@@ -268,20 +276,21 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
-def _symmetric_rule(cols, sphere_w, radii, center_w, radial_w, mean, out):
+def _symmetric_rule(cols, sphere_w, radii, radial_w, mean, out):
     """The mean plus +-r d for every radius r and direction d, with product weights.
 
     ``cols`` is (n, D), or (size, n, D) for per-draw rotated directions,
     whose columns are the directions d already mapped to state space, and
     ``sphere_w`` (D,) the weight of each +-direction point on the sphere.
-    ``radii`` and ``radial_w`` are (size, K); ``center_w`` is (size,), or
-    None for a rule without a centre.  Points are laid out as the centre
-    (the mean), then for each radius mean + r d and mean - r d over the
-    directions, and are written into ``out``, of shape (size * P, n).
+    ``radii`` is (size, K) and ``radial_w`` (size, K + 1), the centre weight
+    first, as `radial_weights` gives it, or (size, K) for a rule without a
+    centre.  Points are laid out as the centre (the mean), then for each
+    radius mean + r d and mean - r d over the directions, and are written
+    into ``out``, of shape (size * P, n).
     """
     size, k = radii.shape
     n, d = cols.shape[-2:]
-    first = 0 if center_w is None else 1
+    first = radial_w.shape[1] - k
     p = out.shape[0] // size
     points = out.reshape(size, p, n)
     weights = np.empty((size, p))
@@ -297,14 +306,14 @@ def _symmetric_rule(cols, sphere_w, radii, center_w, radial_w, mean, out):
     )
     signed = np.empty((size, p))
     signed[:, first:].reshape(size, k, 2, d)[:] = np.multiply.outer(radii, _SIGNS)[..., None]
-    if center_w is not None:
+    if first:
         # the centre is mean * 0 + mean, which is the mean for finite entries
         coords[:, :, 0] = mean[:, None]
         signed[:, 0] = 0.0
-        weights[:, 0] = center_w
+        weights[:, 0] = radial_w[:, 0]
     np.multiply(coords, signed, out=coords)
     np.add(coords, mean[:, None, None], out=coords)
-    weights[:, first:].reshape(size, k, 2, d)[:] = (radial_w[:, :, None] * sphere_w)[:, :, None]
+    weights[:, first:].reshape(size, k, 2, d)[:] = radial_w[:, first:, None, None] * sphere_w
     return points, weights
 
 
@@ -377,43 +386,32 @@ def draw_rule_batch(
         return out.reshape(total, m, n), np.full((total, m), 1.0 / m)
 
     if kind is SchemeKind.CKF3:
-        # the axes L e_i are the columns of L
+        # the axes L e_i are the columns of L; the radial weight is 1.0 exactly
         return _symmetric_rule(
             root, np.full(n, 1.0 / (2 * n)), np.full((total, 1), np.sqrt(n)),
-            None, np.ones((total, 1)), mean, out,
+            np.ones((total, 1)), mean, out,
         )
 
+    # sif3 and the fifth-degree family: a centre plus +-r over the axes or the
+    # simplex directions, with the radii drawn before the rotation
     if kind is SchemeKind.SIF3:
-        rho = np.concatenate([sample_chi(n + 2, s, size=size) for s in streams])
-        q = haar_orthogonal_batch(n, size, streams)
-        w0, w1 = radial_weights_deg3(n, rho)
-        # the random axes L Q e_i are the columns of L Q
-        return _symmetric_rule(
-            root @ q, np.full(n, 1.0 / (2 * n)), rho[:, None], w0, w1[:, None], mean, out
-        )
-
-    # Fifth-degree family: simplex surface rule composed with a radial rule.
-    dirs, sphere_w = _simplex_directions(n)
-    if kind is SchemeKind.SIF5:
-        radii = np.concatenate([np.stack(_radial_pair_batch(n, size, s), axis=1) for s in streams])
-        w0, w1, w2 = radial_weights_deg5(n, radii[:, 0], radii[:, 1])
-        radial_w = np.stack([w1, w2], axis=1)
-    elif kind in (SchemeKind.CKF5, SchemeKind.QSIF5):
-        # Two-node radial rule with one node pinned at zero: matching the
-        # radial moments (1, n, n(n+2)) forces rho^2 = n + 2.
-        rho = np.full(total, np.sqrt(n + 2.0))
-        w0, w1 = radial_weights_deg3(n, rho)
-        radii, radial_w = rho[:, None], w1[:, None]
+        dirs, sphere_w = None, np.full(n, 1.0 / (2 * n))
+        radii = np.concatenate([sample_chi(n + 2, s, size=size) for s in streams])[:, None]
     else:
-        raise ValueError(f"unsupported scheme kind {kind!r}")
-    # the directions as rows times (L Q)^T, whose rounding the points keep,
-    # then transposed to columns L Q d
+        dirs, sphere_w = _simplex_directions(n)
+        if kind is SchemeKind.SIF5:
+            radii = np.concatenate([np.stack(_radial_pair_batch(n, size, s), 1) for s in streams])
+        else:
+            # one node pinned at zero: matching (1, n, n(n+2)) forces rho^2 = n + 2
+            radii = np.full((total, 1), np.sqrt(n + 2.0))
     if kind is SchemeKind.CKF5:
+        # the directions as rows times L^T, whose rounding the points keep
         cols = (dirs @ root.T).T
     else:
-        q = haar_orthogonal_batch(n, size, streams)
-        cols = np.swapaxes(dirs @ np.swapaxes(root @ q, 1, 2), 1, 2)
-    return _symmetric_rule(cols, sphere_w, radii, w0, radial_w, mean, out)
+        # the axes L Q e_i are the columns of L Q; directions go as rows times (L Q)^T
+        lq = root @ haar_orthogonal_batch(n, size, streams)
+        cols = lq if dirs is None else np.swapaxes(dirs @ np.swapaxes(lq, 1, 2), 1, 2)
+    return _symmetric_rule(cols, sphere_w, radii, radial_weights(n, radii), mean, out)
 
 
 def points_per_draw(scheme: IntegrationScheme, n: int) -> int:
@@ -443,10 +441,10 @@ def reported_eval_count(scheme: IntegrationScheme, n: int) -> int:
     * CKF3: 2n; CKF5: n^2 + 3n + 3; MC: mc_samples * n_m.
     * SIF5: n_m * (n^2 + 3n + 3) -- the symmetrized rule's operating points
       (each +-pair counted once, the center counted every repetition).
-    * QSIF5: n_m * (n^2 + 3n + 2) + 1 -- its center point is deterministic
-      and shared across repetitions.
-    * SIF3: n_m * 2n + 1 -- all 2n axis points per draw plus the shared,
-      location-fixed center.
+    * QSIF5: n_m * (n^2 + 3n + 2) + 1 and SIF3: n_m * 2n + 1 -- every
+      repetition places its center at the mean, and the count takes it once.
+      `sigma_points` still evaluates it n_m times: SIF3 at n = 10 and
+      n_m = 50 builds 1050 points (`points_per_draw` times n_m), 1001 counted.
     """
     kind = scheme.kind
     if kind is SchemeKind.CKF3:

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -50,6 +51,35 @@ class TestParseConfig:
         monkeypatch.setenv("SRCF_SEED", "77")
         assert parse_config(["integral-bench"]).seed == 77
         assert parse_config(["integral-bench", "--seed", "5"]).seed == 5
+
+    @pytest.mark.parametrize("value,message", [
+        ("abc", "SRCF_SEED must be an integer, got 'abc'"),
+        ("-5", r"SRCF_SEED must be in \[0, 2\*\*64 - 1\], got -5"),
+    ])
+    def test_malformed_env_seed_names_the_variable(self, monkeypatch, value, message):
+        monkeypatch.setenv("SRCF_SEED", value)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_config(["integral-bench"])
+
+    @pytest.mark.parametrize("item,message", [
+        ("sif5=x", "--nm sif5 must be an integer, got 'x'"),
+        ("foo=3", "--nm foo: unknown scheme"),
+    ])
+    def test_malformed_nm_names_the_scheme(self, item, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            parse_config(["integral-bench", "--nm", item])
+
+    @pytest.mark.parametrize("line,message", [
+        ("runs = abc", "runs must be an integer, got 'abc'"),
+        ("runs = 0", "runs must be >= 1, got 0"),
+        ("nm = sif5=x", "nm sif5 must be an integer, got 'x'"),
+        ("seed = -5", r"seed must be in \[0, 2\*\*64 - 1\], got -5"),
+    ])
+    def test_malformed_config_value_names_its_line(self, tmp_path, line, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"n = 4\n{line}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: {message}$"):
+            parse_config(["integral-bench", "--config", str(path)])
 
     def test_config_file_and_flag_precedence(self, tmp_path):
         path = tmp_path / "bench.cfg"

@@ -67,3 +67,28 @@ class TestValidation:
     def test_empty_substream_rejected(self):
         with pytest.raises(ValueError):
             RngStream(0).substream()
+
+
+_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+_PATHS = [(), (0,), (2**32,), ("sif5", 3), (7, "filter", 2**40, 0, "x", 2**64 - 1)]
+
+
+class TestPinnedStreams:
+    @pytest.mark.parametrize("ids", _PATHS, ids=repr)
+    @pytest.mark.parametrize("seed", _SEEDS)
+    def test_state_is_the_seed_sequence_of_seed_and_path(self, seed, ids):
+        stream = RngStream(seed).substream(*ids) if ids else RngStream(seed)
+        expected = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=stream.path))
+        )
+        assert stream.generator.bit_generator.state == expected.bit_generator.state
+
+    def test_first_normals(self):
+        # literal values, so a change of seeding shows across commits
+        assert RngStream(0).generator.standard_normal(3).tolist() == [
+            0.1257302210933933, -0.1321048632913019, 0.6404226504432821,
+        ]
+        stream = RngStream(2**64 - 1).substream(2**32 + 1, "filter")
+        assert stream.generator.standard_normal(3).tolist() == [
+            -0.4016892012549758, 0.28529757399217254, 1.2284196822956284,
+        ]

@@ -11,8 +11,7 @@ from srcf.rules import (
     draw_rule_batch,
     gaussian_monomial_moment,
     points_per_draw,
-    radial_weights_deg3,
-    radial_weights_deg5,
+    radial_weights,
     reported_eval_count,
     simplex_midpoints,
     simplex_vertices,
@@ -38,7 +37,7 @@ def one_draw(label, n, rng):
 
 class TestRadialWeightsDeg5:
     def test_hand_example(self):
-        w0, w1, w2 = radial_weights_deg5(1, 1.0, 2.0)
+        w0, w1, w2 = radial_weights(1, [1.0, 2.0])
         assert abs(w0 - 0.5) < 1e-15
         assert abs(w1 - 1.0 / 3.0) < 1e-15
         assert abs(w2 - 1.0 / 6.0) < 1e-15
@@ -51,7 +50,7 @@ class TestRadialWeightsDeg5:
     )
     def test_moment_identities(self, n, rho1, gap):
         rho2 = rho1 + gap
-        w0, w1, w2 = radial_weights_deg5(n, rho1, rho2)
+        w0, w1, w2 = radial_weights(n, [rho1, rho2])
         # constants, E[r^2] = n and E[r^4] = n(n+2) are matched exactly up to
         # the conditioning of the cancellation (weights blow up as nodes
         # approach each other or zero)
@@ -63,22 +62,22 @@ class TestRadialWeightsDeg5:
     def test_single_node_rejected(self):
         # a pair collapsed onto one node (or onto the center) has no rule
         with pytest.raises(ValueError):
-            radial_weights_deg5(2, 1.0, 1.0)
+            radial_weights(2, [1.0, 1.0])
         with pytest.raises(ValueError):
-            radial_weights_deg5(2, np.array([0.5, 1.0]), np.array([2.0, 1.0]))
+            radial_weights(2, np.array([[0.5, 2.0], [1.0, 1.0]]))
         with pytest.raises(ValueError):
-            radial_weights_deg5(2, 0.0, 1.0)
+            radial_weights(2, [0.0, 1.0])
 
     def test_elementwise_over_arrays(self):
         rho1, rho2 = _radial_pair_batch(4, 50, RngStream(40))
-        w0, w1, w2 = radial_weights_deg5(4, rho1, rho2)
+        w = radial_weights(4, np.stack([rho1, rho2], axis=1))
         for i in (0, 17, 49):
-            assert (w0[i], w1[i], w2[i]) == radial_weights_deg5(4, rho1[i], rho2[i])
+            assert tuple(w[i]) == tuple(radial_weights(4, [rho1[i], rho2[i]]))
 
 
 class TestRadialWeightsDeg3:
     def test_center_vanishes_at_sqrt_n(self):
-        w0, w1 = radial_weights_deg3(2, np.sqrt(2.0))
+        w0, w1 = radial_weights(2, [np.sqrt(2.0)])
         assert abs(w0) < 1e-15 and abs(w1 - 1.0) < 1e-15
 
     @settings(deadline=None, max_examples=100)
@@ -87,15 +86,71 @@ class TestRadialWeightsDeg3:
         rho=hst.floats(min_value=0.05, max_value=10.0),
     )
     def test_moment_identities(self, n, rho):
-        w0, w1 = radial_weights_deg3(n, rho)
+        w0, w1 = radial_weights(n, [rho])
         assert abs(w0 + w1 - 1.0) < 1e-12
         assert abs(w1 * rho * rho - n) < 1e-9 * n
 
     def test_zero_radius_rejected(self):
         with pytest.raises(ValueError):
-            radial_weights_deg3(2, 0.0)
+            radial_weights(2, [0.0])
         with pytest.raises(ValueError):
-            radial_weights_deg3(2, np.array([1.0, 0.0]))
+            radial_weights(2, np.array([[1.0], [0.0]]))
+
+
+def _closed_form_deg3(n, rho):
+    """The two-node radial rule matching E[r^2] = n: w1 = n / rho^2."""
+    w1 = n / (rho * rho)
+    return np.stack([1.0 - w1, w1], axis=-1)
+
+
+def _closed_form_deg5(n, rho1, rho2):
+    """The three-node radial rule on {0, rho1^2, rho2^2} matching E[r^2], E[r^4]."""
+    r1sq, r2sq = rho1 * rho1, rho2 * rho2
+    w0 = 1.0 - n * (r1sq + r2sq - (n + 2.0)) / (r1sq * r2sq)
+    w1 = n * (n + 2.0 - r2sq) / (r1sq * (r1sq - r2sq))
+    w2 = n * (n + 2.0 - r1sq) / (r2sq * (r2sq - r1sq))
+    return np.stack([w0, w1, w2], axis=-1)
+
+
+class TestRadialWeights:
+    """`radial_weights` against the closed forms of its one- and two-node cases."""
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_one_node_equals_the_closed_form_bit_for_bit(self, n):
+        rho = np.random.default_rng(n).uniform(0.05, 3.0 * np.sqrt(n + 2.0), 1000)
+        assert radial_weights(n, rho[:, None]).tobytes() == _closed_form_deg3(n, rho).tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_two_nodes_equal_the_closed_form_bit_for_bit(self, n):
+        rho = np.random.default_rng(100 + n).uniform(0.05, 3.0 * np.sqrt(n + 2.0), (1000, 2))
+        expected = _closed_form_deg5(n, rho[:, 0], rho[:, 1])
+        assert radial_weights(n, rho).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 8, 20])
+    def test_three_nodes_match_the_radial_moments(self, n):
+        # well-separated nodes: E[u^k] = n (n+2) ... (n+2k-2) for k <= 3
+        u = np.array([0.5, 1.5, 3.0]) * (n + 2.0)
+        w = radial_weights(n, np.sqrt(u))
+        assert w.shape == (4,)
+        for k in range(4):
+            moment = np.prod([n + 2.0 * i for i in range(k)])
+            estimate = (w[0] if k == 0 else 0.0) + w[1:] @ u**k
+            assert abs(estimate - moment) < 1e-14 * moment
+
+    def test_shape_and_centre_first(self):
+        rho = np.ones((2, 5, 1)) * np.array([1.0, 2.0, 3.0])
+        w = radial_weights(3, rho)
+        assert w.shape == (2, 5, 4)
+        np.testing.assert_array_equal(w[1, 4], radial_weights(3, [1.0, 2.0, 3.0]))
+
+    def test_malformed_nodes_rejected(self):
+        for nodes in (1.0, np.zeros((3, 0))):
+            with pytest.raises(ValueError, match="nodes"):
+                radial_weights(3, nodes)
+        with pytest.raises(ValueError, match="distinct"):
+            radial_weights(3, [1.0, 2.0, -1.0])
+        with pytest.raises(ValueError, match="dimension"):
+            radial_weights(0, [1.0])
 
 
 class TestSimplex:
@@ -227,7 +282,8 @@ class TestBuildRule:
         # radii come first in a batch's stream, so the same seed replays them
         n, size = 5, 4
         _, w = draw_rule_batch(scheme("sif5"), n, size, RngStream(41))
-        w0, w1, w2 = radial_weights_deg5(n, *_radial_pair_batch(n, size, RngStream(41)))
+        radii = np.stack(_radial_pair_batch(n, size, RngStream(41)), axis=1)
+        w0, w1, w2 = radial_weights(n, radii).T
         wa, wb = spherical_weights_deg5(n)
         np.testing.assert_array_equal(w[:, 0], w0)
         for d in range(size):
@@ -237,7 +293,7 @@ class TestBuildRule:
     def test_sif3_weights_are_radial_times_spherical(self):
         n, size = 5, 4
         _, w = draw_rule_batch(scheme("sif3"), n, size, RngStream(42))
-        w0, w1 = radial_weights_deg3(n, sample_chi(n + 2, RngStream(42), size=size))
+        w0, w1 = radial_weights(n, sample_chi(n + 2, RngStream(42), size=size)[:, None]).T
         np.testing.assert_array_equal(w[:, 0], w0)
         np.testing.assert_allclose(w[:, 1:], np.repeat(w1[:, None] / (2 * n), 2 * n, axis=1), rtol=1e-15)
 
