@@ -169,6 +169,7 @@ def run_integral_bench(
         "seed": rng.seed,
         "true_value": truth,
         "scheme_variants": {s.label: SCHEME_VARIANT_NOTES[s.label] for s in schemes},
+        "evaluated_points": {s.label: s.n_m * points_per_draw(s, n) for s in schemes},
         "deterministic_estimates": deterministic_values,
         "reference_re_mean_pct": {
             s.label: REFERENCE_MEAN_RE_PCT[s.label]
@@ -368,6 +369,7 @@ def run_filter_bench(
                     "steps": steps,
                     "seed": rng.seed,
                     "points_per_integral": reported_eval_count(scheme, model.n),
+                    "evaluated_points_per_integral": scheme.n_m * points_per_draw(scheme, model.n),
                     "excluded_runs": excluded,
                     "included_runs": included,
                     "trajectory_resamples": resamples,

@@ -142,6 +142,15 @@ def _to_int(text: str, source: str) -> int:
         raise ValueError(f"{source} must be an integer, got {text!r}") from None
 
 
+def _scheme_label(text: str, source: str) -> str:
+    """A scheme label, lower-cased; an unknown one is an error naming ``source``."""
+    label = text.strip().lower()
+    valid = [k.value for k in SchemeKind]
+    if label not in valid:
+        raise ValueError(f"{source} {label}: unknown scheme; expected one of: {', '.join(valid)}")
+    return label
+
+
 def _parse_nm(text: str, source: str) -> dict:
     """Repetition counts from ``<scheme>=<int>`` items; errors name ``source``."""
     nm = {}
@@ -152,12 +161,7 @@ def _parse_nm(text: str, source: str) -> dict:
         if "=" not in part:
             raise ValueError(f"{source} expects <scheme>=<int>, got {part!r}")
         label, _, value = part.partition("=")
-        label = label.strip().lower()
-        valid = [k.value for k in SchemeKind]
-        if label not in valid:
-            raise ValueError(
-                f"{source} {label}: unknown scheme; expected one of: {', '.join(valid)}"
-            )
+        label = _scheme_label(label, source)
         count = _to_int(value.strip(), f"{source} {label}")
         if count < 1:
             raise ValueError(f"{source} {label} must be >= 1, got {count}")
@@ -258,29 +262,30 @@ def parse_config(argv) -> BenchConfig:
         for item in args["nm"] or []:
             nm.update(_parse_nm(item, "--nm"))
 
-    n = values["n"]
+    n, n_source, schemes_source = values["n"], sources["n"], sources["schemes"]
     if command == "integral-bench" and n < 2:
         # the integral is 0 at n = 1, so relative errors are undefined
-        raise ValueError(f"integral-bench needs --n >= 2, got {n}")
+        raise ValueError(f"{n_source} must be >= 2 for integral-bench, got {n}")
     mc_samples = values.get("mc-samples")
     schemes = []
     for label in values["schemes"].split(","):
-        label = label.strip().lower()
-        if not label:
+        if not label.strip():
             continue
+        label = _scheme_label(label, schemes_source)
         if any(s.label == label for s in schemes):
-            raise ValueError(f"--schemes names {label} more than once")
+            raise ValueError(f"{schemes_source} names {label} more than once")
         scheme = IntegrationScheme.from_label(
             label,
             n_m=nm.get(label, 1),
             mc_samples=mc_samples if label == "mc" else None,
         )
-        scheme.validate_dim(n)
+        if n < scheme.kind.min_dim:
+            raise ValueError(f"{n_source} must be >= {scheme.kind.min_dim} for {label}, got {n}")
         if command == "rule-check" and scheme.kind.degree is None:
             raise ValueError("rule-check needs a polynomial-exact rule; mc has no such degree")
         schemes.append(scheme)
     if not schemes:
-        raise ValueError("--schemes must name at least one scheme")
+        raise ValueError(f"{schemes_source} must name at least one scheme")
 
     return BenchConfig(
         command=command,
@@ -438,6 +443,7 @@ def _payload(report, config: BenchConfig) -> tuple[dict, list[str], list[dict]]:
                 s.scheme: {
                     "n_m": s.meta["n_m"],
                     "points_per_integral": s.meta["points_per_integral"],
+                    "evaluated_points_per_integral": s.meta["evaluated_points_per_integral"],
                     "excluded_runs": s.meta["excluded_runs"],
                     "variant": s.meta["variant"],
                 }

@@ -29,6 +29,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -249,31 +250,51 @@ def spherical_weights_deg5(n: int) -> tuple[float, float]:
     return wa, wb
 
 
-@lru_cache(maxsize=None)
-def _simplex_directions(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Directions of the degree-5 surface rule (vertices, then midpoints)
-    with the weight of each of their +- points."""
-    vertices = simplex_vertices(n)
-    midpoints = simplex_midpoints(n, vertices)
-    wa, wb = spherical_weights_deg5(n)
-    dirs = np.concatenate([vertices, midpoints])
-    weights = np.repeat([wa, wb], [vertices.shape[0], midpoints.shape[0]])
-    dirs.setflags(write=False)
-    weights.setflags(write=False)
-    return dirs, weights
-
-
 _SIGNS = np.array([1.0, -1.0])
 _SIGNS.setflags(write=False)
 
 
+class _Layout(NamedTuple):
+    """What a symmetric rule's kind and n fix, as read-only arrays.
+
+    ``dirs`` (D, n) are the directions as rows and ``sphere_w`` (D,) the
+    weight of each of their +- points; ``radii`` (1, K) and ``radial_w``
+    are the radial rule of the fixed-radius schemes (None where a draw
+    samples it); ``p`` is the number of points per draw.
+    """
+
+    dirs: np.ndarray
+    sphere_w: np.ndarray
+    radii: np.ndarray | None
+    radial_w: np.ndarray | None
+    p: int
+
+
 @lru_cache(maxsize=None)
-def _identity(n: int) -> np.ndarray:
-    """The n x n identity: the square root of the standard-normal covariance,
-    and the ckf3 axes in standard-normal coordinates."""
-    eye = np.eye(n)
-    eye.setflags(write=False)
-    return eye
+def _layout(kind: SchemeKind, n: int) -> _Layout:
+    """The layout of a symmetric scheme at dimension n, built on first use."""
+    radii = radial_w = None
+    if kind in (SchemeKind.CKF3, SchemeKind.SIF3):
+        dirs, sphere_w = np.eye(n), np.full(n, 1.0 / (2 * n))
+        if kind is SchemeKind.CKF3:
+            # 2n axis points at radius sqrt(n), no centre, radial weight 1.0 exactly
+            radii, radial_w = np.array([[np.sqrt(n)]]), np.ones((1, 1))
+    else:
+        vertices = simplex_vertices(n)
+        midpoints = simplex_midpoints(n, vertices)
+        dirs = np.concatenate([vertices, midpoints])
+        sphere_w = np.repeat(spherical_weights_deg5(n), [len(vertices), len(midpoints)])
+        if kind is not SchemeKind.SIF5:
+            # one node pinned at zero: matching (1, n, n(n+2)) forces rho^2 = n + 2
+            radii = np.array([[np.sqrt(n + 2.0)]])
+            radial_w = radial_weights(n, radii)
+    for a in (dirs, sphere_w, radii, radial_w):
+        if a is not None:
+            a.setflags(write=False)
+    # the centre (all but ckf3), then +-r d for each radius and direction
+    k = 2 if kind is SchemeKind.SIF5 else 1
+    p = (kind is not SchemeKind.CKF3) + 2 * k * len(dirs)
+    return _Layout(dirs, sphere_w, radii, radial_w, p)
 
 
 def _symmetric_rule(cols, sphere_w, radii, radial_w, mean, out):
@@ -358,7 +379,9 @@ def draw_rule_batch(
 
     Notes
     -----
-    Deterministic schemes tile a single construction and draw nothing.
+    What the kind and n fix (directions, sphere weights, fixed radii and
+    their weights, P) is built once per (kind, n); a draw samples only the
+    random radii and rotation, and deterministic schemes draw nothing.
     """
     scheme.validate_dim(n)
     if size < 1:
@@ -367,7 +390,7 @@ def draw_rule_batch(
     total = len(streams) * size
     kind = scheme.kind
     mean = np.zeros(n) if mean is None else mean
-    root = _identity(n) if root is None else root
+    root = np.eye(n) if root is None else root
     if np.shape(mean) != (n,):
         raise ValueError(f"mean must have shape ({n},), got shape {np.shape(mean)}")
     if np.shape(root) != (n, n):
@@ -385,33 +408,23 @@ def draw_rule_batch(
         np.add(c.reshape(-1, n) @ root.T, mean, out=out)
         return out.reshape(total, m, n), np.full((total, m), 1.0 / m)
 
-    if kind is SchemeKind.CKF3:
-        # the axes L e_i are the columns of L; the radial weight is 1.0 exactly
-        return _symmetric_rule(
-            root, np.full(n, 1.0 / (2 * n)), np.full((total, 1), np.sqrt(n)),
-            np.ones((total, 1)), mean, out,
-        )
-
-    # sif3 and the fifth-degree family: a centre plus +-r over the axes or the
-    # simplex directions, with the radii drawn before the rotation
-    if kind is SchemeKind.SIF3:
-        dirs, sphere_w = None, np.full(n, 1.0 / (2 * n))
-        radii = np.concatenate([sample_chi(n + 2, s, size=size) for s in streams])[:, None]
+    # the fixed radii are broadcast to every draw; sif3 and sif5 sample theirs,
+    # and the rotation is drawn after them
+    lay = _layout(kind, n)
+    if lay.radii is not None:
+        radii = np.broadcast_to(lay.radii, (total, lay.radii.shape[1]))
+        radial_w = np.broadcast_to(lay.radial_w, (total, lay.radial_w.shape[1]))
     else:
-        dirs, sphere_w = _simplex_directions(n)
-        if kind is SchemeKind.SIF5:
-            radii = np.concatenate([np.stack(_radial_pair_batch(n, size, s), 1) for s in streams])
+        if kind is SchemeKind.SIF3:
+            radii = np.concatenate([sample_chi(n + 2, s, size=size) for s in streams])[:, None]
         else:
-            # one node pinned at zero: matching (1, n, n(n+2)) forces rho^2 = n + 2
-            radii = np.full((total, 1), np.sqrt(n + 2.0))
-    if kind is SchemeKind.CKF5:
-        # the directions as rows times L^T, whose rounding the points keep
-        cols = (dirs @ root.T).T
-    else:
-        # the axes L Q e_i are the columns of L Q; directions go as rows times (L Q)^T
-        lq = root @ haar_orthogonal_batch(n, size, streams)
-        cols = lq if dirs is None else np.swapaxes(dirs @ np.swapaxes(lq, 1, 2), 1, 2)
-    return _symmetric_rule(cols, sphere_w, radii, radial_weights(n, radii), mean, out)
+            radii = np.concatenate([np.stack(_radial_pair_batch(n, size, s), 1) for s in streams])
+        radial_w = radial_weights(n, radii)
+    lq = root if kind.deterministic else root @ haar_orthogonal_batch(n, size, streams)
+    # the axes L Q e_i are the columns of L Q; other directions go as rows
+    # times (L Q)^T, whose rounding the points keep
+    cols = lq if kind.degree == 3 else np.swapaxes(lay.dirs @ np.swapaxes(lq, -1, -2), -1, -2)
+    return _symmetric_rule(cols, lay.sphere_w, radii, radial_w, mean, out)
 
 
 def points_per_draw(scheme: IntegrationScheme, n: int) -> int:
@@ -420,46 +433,29 @@ def points_per_draw(scheme: IntegrationScheme, n: int) -> int:
     Unlike `reported_eval_count` this counts every returned point: each
     draw's centre and both points of every +- pair.
     """
-    kind = scheme.kind
-    if kind is SchemeKind.CKF3:
-        return 2 * n
-    if kind is SchemeKind.MC:
+    if scheme.kind is SchemeKind.MC:
         return scheme.mc_samples
-    if kind is SchemeKind.SIF3:
-        return 1 + 2 * n
-    # centre plus +- every simplex direction ((n+1)(n+2)/2 of them) per radius
-    radii = 2 if kind is SchemeKind.SIF5 else 1
-    return 1 + radii * (n + 1) * (n + 2)
+    return _layout(scheme.kind, n).p
 
 
 def reported_eval_count(scheme: IntegrationScheme, n: int) -> int:
     """Function-evaluation budget of one integral under the usual accounting.
 
-    Conventions differ by rule family, mirroring how these budgets are
-    normally quoted:
+    With P = `points_per_draw`, which `sigma_points` evaluates n_m times:
 
-    * CKF3: 2n; CKF5: n^2 + 3n + 3; MC: mc_samples * n_m.
-    * SIF5: n_m * (n^2 + 3n + 3) -- the symmetrized rule's operating points
-      (each +-pair counted once, the center counted every repetition).
-    * QSIF5: n_m * (n^2 + 3n + 2) + 1 and SIF3: n_m * 2n + 1 -- every
-      repetition places its center at the mean, and the count takes it once.
-      `sigma_points` still evaluates it n_m times: SIF3 at n = 10 and
-      n_m = 50 builds 1050 points (`points_per_draw` times n_m), 1001 counted.
+    * CKF3 and CKF5 (n_m = 1) and MC: n_m * P, every point.
+    * SIF3 and QSIF5: n_m * (P - 1) + 1 -- every repetition places its
+      centre at the mean, and the count takes it once (SIF3 at n = 10 and
+      n_m = 50: 1001 counted of 1050 evaluated).
+    * SIF5: n_m * (P + 1) / 2 -- the symmetrized rule's operating points,
+      each +-pair counted once and the centre every repetition.
     """
-    kind = scheme.kind
-    if kind is SchemeKind.CKF3:
-        return 2 * n
-    if kind is SchemeKind.CKF5:
-        return n * n + 3 * n + 3
-    if kind is SchemeKind.MC:
-        return scheme.mc_samples * scheme.n_m
-    if kind is SchemeKind.SIF3:
-        return scheme.n_m * 2 * n + 1
-    if kind is SchemeKind.SIF5:
-        return scheme.n_m * (n * n + 3 * n + 3)
-    if kind is SchemeKind.QSIF5:
-        return scheme.n_m * (n * n + 3 * n + 2) + 1
-    raise ValueError(f"unsupported scheme kind {kind!r}")
+    p = points_per_draw(scheme, n)
+    if scheme.kind is SchemeKind.SIF5:
+        return scheme.n_m * (p + 1) // 2
+    if scheme.kind in (SchemeKind.SIF3, SchemeKind.QSIF5):
+        return scheme.n_m * (p - 1) + 1
+    return scheme.n_m * p
 
 
 def gaussian_monomial_moment(alpha) -> float:

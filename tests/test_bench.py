@@ -13,7 +13,7 @@ from srcf.bench import (
     true_integral_sum_powers,
 )
 from srcf.filtering import DivergenceError
-from srcf.integrate import GaussianBelief, VectorFunction, expect
+from srcf.integrate import GaussianBelief, VectorFunction, expect, sigma_points
 from srcf.filtering import StateSpaceModel
 from srcf.rng import RngStream
 from srcf.rules import IntegrationScheme, points_per_draw
@@ -311,6 +311,22 @@ class TestFilterBench:
         series = run_filter_bench(model, [scheme("sif5", n_m=2)], 4, 6, RngStream(18))
         meta = series[0].meta
         for key in ("scheme", "variant", "q", "n", "n_mc", "n_m", "steps", "seed",
-                    "points_per_integral", "excluded_runs", "trajectory_resamples"):
+                    "points_per_integral", "evaluated_points_per_integral", "excluded_runs",
+                    "trajectory_resamples"):
             assert key in meta
         assert meta["n_mc"] == 4 and meta["steps"] == 6 and meta["seed"] == 18
+
+
+@pytest.mark.parametrize("n", [2, 6, 10])
+def test_reported_evaluated_counts_match_sigma_points(n):
+    # the evaluated count in both reports is the number of points one
+    # integral evaluates, centre copies included
+    schemes = [scheme(label, n_m=nm) for label, nm in
+               [("ckf3", 1), ("ckf5", 1), ("sif3", 50), ("sif5", 10), ("qsif5", 10), ("mc", 1)]]
+    integral = run_integral_bench(n, schemes, 1, RngStream(70)).meta["evaluated_points"]
+    series = run_filter_bench(GrowthModel(q=1, n=n), schemes, 1, 1, RngStream(71))
+    belief = GaussianBelief(mean=np.zeros(n), cov=np.eye(n))
+    for sch, s in zip(schemes, series):
+        evaluated = sigma_points(belief, sch, RngStream(72))[0].shape[0]
+        assert integral[sch.label] == evaluated
+        assert s.meta["evaluated_points_per_integral"] == evaluated

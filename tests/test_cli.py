@@ -90,6 +90,27 @@ class TestParseConfig:
         assert cfg.nm["sif5"] == 4
         assert cfg.format == "json"
 
+    @pytest.mark.parametrize("argv,message", [
+        (["integral-bench", "--schemes", "ukf"], "--schemes ukf: unknown scheme; expected one of: "),
+        (["integral-bench", "--n", "1"], "--n must be >= 2 for integral-bench, got 1$"),
+        (["filter-bench", "--schemes", "sif5", "--n", "1"], "--n must be >= 2 for sif5, got 1$"),
+        (["filter-bench", "--schemes", "sif5,sif5"], "--schemes names sif5 more than once$"),
+    ])
+    def test_scheme_and_dimension_errors_name_the_flag(self, argv, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            parse_config(argv)
+
+    @pytest.mark.parametrize("command,text,message", [
+        ("integral-bench", "schemes = sif5,ukf\n", "1: schemes ukf: unknown scheme; expected one of: "),
+        ("integral-bench", "n = 1\n", "1: n must be >= 2 for integral-bench, got 1$"),
+        ("filter-bench", "schemes = sif5\nn = 1\n", "2: n must be >= 2 for sif5, got 1$"),
+    ])
+    def test_scheme_and_dimension_errors_name_the_config_line(self, tmp_path, command, text, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{message}"):
+            parse_config([command, "--config", str(path)])
+
     def test_scheme_twice_in_config_file_rejected(self, tmp_path):
         path = tmp_path / "twice.cfg"
         path.write_text("schemes = sif5,ckf3,sif5\n")

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from srcf.linalg import haar_orthogonal_batch
+from srcf import rules
 from srcf.rng import RngStream
 from srcf.rules import (
     IntegrationScheme,
@@ -502,6 +503,36 @@ class TestEvalCounts:
         sch = scheme(label, mc=70)
         points, _ = draw_rule_batch(sch, n, 1, RngStream(54))
         assert points.shape[1] == points_per_draw(sch, n)
+
+
+class TestLayout:
+    """The fixed part of each rule is built once per (kind, n)."""
+
+    @pytest.mark.parametrize("label", ["ckf3", "ckf5", "sif3", "sif5", "qsif5"])
+    def test_cached_and_read_only(self, label):
+        kind = SchemeKind(label)
+        layout = rules._layout(kind, 6)
+        assert rules._layout(kind, 6) is layout
+        assert layout.p == points_per_draw(scheme(label), 6)
+        for a in (layout.dirs, layout.sphere_w, layout.radii, layout.radial_w):
+            if a is not None:
+                assert not a.flags.writeable
+
+    @pytest.mark.parametrize("label,calls", [("ckf5", 0), ("qsif5", 0), ("sif3", 1), ("sif5", 1)])
+    def test_fixed_radial_weights_computed_once(self, monkeypatch, label, calls):
+        n = 10
+        draw_rule_batch(scheme(label), n, 1, RngStream(60))
+        seen = []
+
+        def counted(*args):
+            seen.append(args)
+            return radial_weights(*args)
+
+        monkeypatch.setattr(rules, "radial_weights", counted)
+        for k in range(3):
+            streams = [RngStream(61).substream(k, s) for s in range(3)]
+            draw_rule_batch(scheme(label), n, 2, streams)
+        assert len(seen) == 3 * calls
 
 
 class TestGaussianMonomialMoment:
