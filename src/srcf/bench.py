@@ -163,7 +163,6 @@ def run_integral_bench(
         )
 
     meta = {
-        "command": "integral-bench",
         "n": n,
         "runs": runs,
         "seed": rng.seed,
@@ -180,9 +179,9 @@ def run_integral_bench(
     # Deterministic rows are sensitive to rule-variant choices; flag rather
     # than assert when our computed value disagrees with the reference.
     flags = {}
-    for row in rows:
+    for scheme, row in zip(schemes, rows):
         ref = REFERENCE_MEAN_RE_PCT.get(row.scheme)
-        if ref is not None and row.scheme in ("ckf3", "ckf5"):
+        if ref is not None and scheme.kind.deterministic:
             flags[row.scheme] = bool(abs(row.re_mean_pct - ref) > 0.01 * max(1.0, ref))
     meta["deterministic_re_deviates_from_reference"] = flags
     return IntegralBenchReport(rows=rows, meta=meta)
@@ -359,7 +358,6 @@ def run_filter_bench(
                 values=rmse,
                 sq_errors=sq_errors,
                 meta={
-                    "command": "filter-bench",
                     "scheme": label,
                     "variant": SCHEME_VARIANT_NOTES[label],
                     "q": model.q,

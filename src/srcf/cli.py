@@ -1,4 +1,4 @@
-"""Command-line front end: benchmark dispatch, seeding, and CSV/JSON reports.
+"""Command-line front end: one runner per command, seeding, and CSV/JSON reports.
 
 Commands and the options each one reads
 ---------------------------------------
@@ -29,18 +29,19 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields
 from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .bench import (
     GrowthModel,
-    IntegralBenchReport,
     IntegralBenchRow,
-    RmseSeries,
     TrajectoryOverflowError,
     run_filter_bench,
     run_integral_bench,
@@ -66,18 +67,65 @@ _REPETITIONS = {
     "mc-samples": (int, 600),
 }
 
-# Every option a command reads, as name -> (type, default).  Its flags, its
-# config-file keys (all options but "config") and its defaults come from
-# here, so a command rejects any option it would not read.
+
+def _run_integral_bench(config: BenchConfig, rng: RngStream):
+    report = run_integral_bench(config.n, list(config.schemes), config.runs, rng)
+    columns = [f.name for f in fields(IntegralBenchRow)]
+    return report.meta, columns, [asdict(r) for r in report.rows], 0
+
+
+def _run_filter_bench(config: BenchConfig, rng: RngStream):
+    model = GrowthModel(q=config.q, n=config.n)
+    series = run_filter_bench(model, list(config.schemes), config.n_mc, config.steps, rng)
+    first = series[0].meta
+    meta = {key: first[key] for key in ("q", "n", "n_mc", "steps", "trajectory_resamples")}
+    scheme_keys = ("n_m", "points_per_integral", "evaluated_points_per_integral",
+                   "excluded_runs", "variant")
+    meta["schemes"] = {s.scheme: {key: s.meta[key] for key in scheme_keys} for s in series}
+    rows = [
+        {"scheme": s.scheme, "k": k + 1, "rmse": float(v)}
+        for s in series
+        for k, v in enumerate(s.values)
+    ]
+    # exit 1 when some scheme diverged on every run
+    failed = any(s.meta["excluded_runs"] >= config.n_mc for s in series)
+    return meta, ["scheme", "k", "rmse"], rows, int(failed)
+
+
+def _run_rule_check(config: BenchConfig, rng: RngStream):
+    rows, meta = [], {}
+    for scheme in config.schemes:
+        report = rule_check(config.n, scheme, config.runs, rng.substream(scheme.label))
+        rows.extend(report.rows)
+        meta[scheme.label] = report.meta
+    return {"schemes": meta}, ["scheme", "degree", "max_abs_deviation"], rows, 0
+
+
+class _Command(NamedTuple):
+    """A subcommand: its runner, every option it reads, and its limits.
+
+    ``run(config, rng)`` returns the report's meta, columns and rows and the
+    exit status.  ``options`` maps name -> (type, default); the command's
+    flags, config-file keys (all options but "config") and defaults come from
+    there, so it rejects any option it would not read.
+    """
+
+    run: Callable
+    options: dict
+    min_n: int = 1
+    polynomial_rules_only: bool = False
+
+
 _COMMANDS = {
-    "integral-bench": {
+    # min_n: the integral is 0 at n = 1, so relative errors are undefined
+    "integral-bench": _Command(_run_integral_bench, min_n=2, options={
         "n": (int, 6),
         "runs": (int, 1000),
         "schemes": (str, "ckf3,ckf5,sif3,sif5,qsif5,mc"),
         **_REPETITIONS,
         **_COMMON,
-    },
-    "filter-bench": {
+    }),
+    "filter-bench": _Command(_run_filter_bench, options={
         "n": (int, 10),
         "q": (int, 2),
         "steps": (int, 100),
@@ -85,13 +133,13 @@ _COMMANDS = {
         "schemes": (str, "ckf3,ckf5,sif3,sif5,qsif5"),
         **_REPETITIONS,
         **_COMMON,
-    },
-    "rule-check": {
+    }),
+    "rule-check": _Command(_run_rule_check, polynomial_rules_only=True, options={
         "n": (int, 4),
         "runs": (int, 100),
         "schemes": (str, "sif5"),
         **_COMMON,
-    },
+    }),
 }
 
 _HELP = {
@@ -165,13 +213,15 @@ def _parse_nm(text: str, source: str) -> dict:
         count = _to_int(value.strip(), f"{source} {label}")
         if count < 1:
             raise ValueError(f"{source} {label} must be >= 1, got {count}")
+        if count != 1 and SchemeKind(label).deterministic:
+            raise ValueError(f"{source} {label} must be 1 for a deterministic rule, got {count}")
         nm[label] = count
     return nm
 
 
 def _read_config_file(path: str, command: str) -> tuple[dict, dict]:
     """The option values a config file sets, and the ``path:line: key`` of each."""
-    options = {k: v for k, v in _COMMANDS[command].items() if k != "config"}
+    options = {k: v for k, v in _COMMANDS[command].options.items() if k != "config"}
     values, sources = {}, {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -179,7 +229,8 @@ def _read_config_file(path: str, command: str) -> tuple[dict, dict]:
     except OSError as err:
         raise ValueError(f"cannot read config file {path!r}: {err.strerror}") from None
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        # a comment starts at a "#" that opens the line or follows whitespace
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         for sep in ("=", ":"):
@@ -210,9 +261,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Benchmarks for stochastic spherical-radial integration rules and filters.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, options in _COMMANDS.items():
+    for command, spec in _COMMANDS.items():
         p = sub.add_parser(command)
-        for name, (kind, _) in options.items():
+        for name, (kind, _) in spec.options.items():
             if name == "nm":
                 p.add_argument("--nm", action="append", metavar="SCHEME=INT", help=_HELP[name])
             else:
@@ -229,7 +280,8 @@ def parse_config(argv) -> BenchConfig:
     """
     args = vars(_build_parser().parse_args(list(argv)))
     command = args["command"]
-    options = _COMMANDS[command]
+    spec = _COMMANDS[command]
+    options = spec.options
     file_vals, file_sources = {}, {}
     if args["config"]:
         file_vals, file_sources = _read_config_file(args["config"], command)
@@ -263,9 +315,8 @@ def parse_config(argv) -> BenchConfig:
             nm.update(_parse_nm(item, "--nm"))
 
     n, n_source, schemes_source = values["n"], sources["n"], sources["schemes"]
-    if command == "integral-bench" and n < 2:
-        # the integral is 0 at n = 1, so relative errors are undefined
-        raise ValueError(f"{n_source} must be >= 2 for integral-bench, got {n}")
+    if n < spec.min_n:
+        raise ValueError(f"{n_source} must be >= {spec.min_n} for {command}, got {n}")
     mc_samples = values.get("mc-samples")
     schemes = []
     for label in values["schemes"].split(","):
@@ -281,8 +332,8 @@ def parse_config(argv) -> BenchConfig:
         )
         if n < scheme.kind.min_dim:
             raise ValueError(f"{n_source} must be >= {scheme.kind.min_dim} for {label}, got {n}")
-        if command == "rule-check" and scheme.kind.degree is None:
-            raise ValueError("rule-check needs a polynomial-exact rule; mc has no such degree")
+        if spec.polynomial_rules_only and scheme.kind.degree is None:
+            raise ValueError(f"{command} needs a polynomial-exact rule; mc has no such degree")
         schemes.append(scheme)
     if not schemes:
         raise ValueError(f"{schemes_source} must name at least one scheme")
@@ -370,7 +421,6 @@ def rule_check(n: int, scheme: IntegrationScheme, draws: int, rng: RngStream) ->
             }
         )
     meta = {
-        "command": "rule-check",
         "scheme": scheme.label,
         "n": n,
         "draws": draws,
@@ -415,57 +465,21 @@ def _flatten_meta(meta: dict, prefix: str = "") -> list[tuple[str, str]]:
     return items
 
 
-def _payload(report, config: BenchConfig) -> tuple[dict, list[str], list[dict]]:
-    """Normalize a report into (meta, column order, row dicts)."""
-    base_meta = {
+def emit_report(meta: dict, columns: list[str], rows: list[dict], config: BenchConfig) -> list[str]:
+    """Serialize a report to config.format, writing config.out or stdout.
+
+    The metadata block opens with the tool version, command, seed and format,
+    followed by ``meta``; each row prints the ``columns`` in order.  Returns
+    the list of files written (empty when printing to stdout).  Output is
+    byte-for-byte reproducible from (config, seed, version).
+    """
+    meta = {
         "tool_version": __version__,
         "command": config.command,
         "seed": config.seed,
         "format": config.format,
+        **meta,
     }
-    if isinstance(report, IntegralBenchReport):
-        meta = {**base_meta, **report.meta}
-        columns = [f.name for f in fields(IntegralBenchRow)]
-        return meta, columns, [asdict(r) for r in report.rows]
-    if isinstance(report, RuleCheckReport):
-        meta = {**base_meta, **report.meta}
-        return meta, ["scheme", "degree", "max_abs_deviation"], list(report.rows)
-    if isinstance(report, list) and report and isinstance(report[0], RmseSeries):
-        first = report[0].meta
-        meta = {
-            **base_meta,
-            "q": first["q"],
-            "n": first["n"],
-            "n_mc": first["n_mc"],
-            "steps": first["steps"],
-            "trajectory_resamples": first["trajectory_resamples"],
-            "schemes": {
-                s.scheme: {
-                    "n_m": s.meta["n_m"],
-                    "points_per_integral": s.meta["points_per_integral"],
-                    "evaluated_points_per_integral": s.meta["evaluated_points_per_integral"],
-                    "excluded_runs": s.meta["excluded_runs"],
-                    "variant": s.meta["variant"],
-                }
-                for s in report
-            },
-        }
-        rows = [
-            {"scheme": s.scheme, "k": k + 1, "rmse": float(v)}
-            for s in report
-            for k, v in enumerate(s.values)
-        ]
-        return meta, ["scheme", "k", "rmse"], rows
-    raise TypeError(f"cannot serialize report of type {type(report).__name__}")
-
-
-def emit_report(report, config: BenchConfig) -> list[str]:
-    """Serialize a report to config.format, writing config.out or stdout.
-
-    Returns the list of files written (empty when printing to stdout).
-    Output is byte-for-byte reproducible from (config, seed, version).
-    """
-    meta, columns, rows = _payload(report, config)
     if config.format == "json":
         doc = {"meta": _round_floats(meta), "rows": _round_floats(rows)}
         text = json.dumps(doc, indent=2) + "\n"
@@ -504,27 +518,6 @@ def load_report(path: str):
     return meta, rows
 
 
-def _dispatch(config: BenchConfig) -> tuple[object, int]:
-    rng = RngStream(config.seed)
-    if config.command == "integral-bench":
-        return run_integral_bench(config.n, list(config.schemes), config.runs, rng), 0
-    if config.command == "filter-bench":
-        model = GrowthModel(q=config.q, n=config.n)
-        series = run_filter_bench(model, list(config.schemes), config.n_mc, config.steps, rng)
-        failed = any(s.meta["excluded_runs"] >= config.n_mc for s in series)
-        return series, (1 if failed else 0)
-    if config.command == "rule-check":
-        rows = []
-        meta = {}
-        for scheme in config.schemes:
-            rep = rule_check(config.n, scheme, config.runs, rng.substream(scheme.label))
-            rows.extend(rep.rows)
-            meta[scheme.label] = {k: v for k, v in rep.meta.items() if k != "command"}
-        report = RuleCheckReport(rows=rows, meta={"command": "rule-check", "schemes": meta})
-        return report, 0
-    raise ValueError(f"unknown command {config.command!r}")
-
-
 def main(argv=None) -> int:
     try:
         config = parse_config(sys.argv[1:] if argv is None else argv)
@@ -532,8 +525,8 @@ def main(argv=None) -> int:
         print(f"srcf: error: {err}", file=sys.stderr)
         return 2
     try:
-        report, status = _dispatch(config)
-        emit_report(report, config)
+        meta, columns, rows, status = _COMMANDS[config.command].run(config, RngStream(config.seed))
+        emit_report(meta, columns, rows, config)
     except TrajectoryOverflowError as err:
         print(f"srcf: error: {err}", file=sys.stderr)
         return 2

@@ -20,6 +20,13 @@ _MASK32 = 0xFFFFFFFF
 SEED_MAX = 0xFFFFFFFFFFFFFFFF  # master seeds are unsigned 64-bit ints
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a bool or a non-integer is a TypeError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    return int(value)
+
+
 def _id_words(value) -> tuple[int, int]:
     """Map one substream id (int or str) to a fixed pair of uint32 words."""
     if isinstance(value, bool):
@@ -60,7 +67,7 @@ class RngStream:
     __slots__ = ("seed", "path", "_gen")
 
     def __init__(self, seed: int, stream_id=None, _path: tuple = ()):
-        seed = int(seed)
+        seed = _integer("seed", seed)
         if seed < 0 or seed > SEED_MAX:
             raise ValueError("seed must fit in an unsigned 64-bit int")
         self.seed = seed

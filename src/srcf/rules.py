@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import haar_orthogonal_batch
-from .rng import RngStream, as_streams, standard_normal_stack
+from .rng import RngStream, _integer, as_streams, standard_normal_stack
 from .samplers import _radial_pair_batch, sample_chi
 
 __all__ = [
@@ -98,10 +98,10 @@ class IntegrationScheme:
     mc_samples: int | None = None
 
     def __post_init__(self):
-        if self.n_m < 1:
+        if _integer("n_m", self.n_m) < 1:
             raise ValueError("n_m must be >= 1")
         if self.kind is SchemeKind.MC:
-            if self.mc_samples is None or self.mc_samples < 1:
+            if self.mc_samples is None or _integer("mc_samples", self.mc_samples) < 1:
                 raise ValueError("MC scheme requires mc_samples >= 1")
         elif self.mc_samples is not None:
             raise ValueError(f"mc_samples is only valid for MC, not {self.kind.value}")

@@ -64,6 +64,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("item,message", [
         ("sif5=x", "--nm sif5 must be an integer, got 'x'"),
         ("foo=3", "--nm foo: unknown scheme"),
+        ("ckf3=5", "--nm ckf3 must be 1 for a deterministic rule, got 5$"),
     ])
     def test_malformed_nm_names_the_scheme(self, item, message):
         with pytest.raises(ValueError, match=f"^{message}"):
@@ -74,6 +75,7 @@ class TestParseConfig:
         ("runs = 0", "runs must be >= 1, got 0"),
         ("nm = sif5=x", "nm sif5 must be an integer, got 'x'"),
         ("seed = -5", r"seed must be in \[0, 2\*\*64 - 1\], got -5"),
+        ("nm = ckf5=2", "nm ckf5 must be 1 for a deterministic rule, got 2"),
     ])
     def test_malformed_config_value_names_its_line(self, tmp_path, line, message):
         path = tmp_path / "bad.cfg"
@@ -110,6 +112,13 @@ class TestParseConfig:
         path.write_text(text)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{message}"):
             parse_config([command, "--config", str(path)])
+
+    def test_hash_starts_a_comment_only_after_whitespace(self, tmp_path):
+        path = tmp_path / "comments.cfg"
+        path.write_text("# a comment line\nout = res#1.csv\nruns = 2  # note\nn =\t4\t# tab\n")
+        cfg = parse_config(["integral-bench", "--config", str(path)])
+        assert cfg.out == "res#1.csv"
+        assert cfg.runs == 2 and cfg.n == 4
 
     def test_scheme_twice_in_config_file_rejected(self, tmp_path):
         path = tmp_path / "twice.cfg"
@@ -243,10 +252,11 @@ class TestExitCodes:
             ["filter-bench", "--n", "2", "--q", "1", "--steps", "2", "--nmc", "1",
              "--schemes", "sif5,sif5"],
             ["rule-check", "--runs", "2", "--schemes", "ckf3, CKF3"],
+            ["integral-bench", "--nm", "ckf3=5"],
         ],
         ids=["runs-zero", "missing-config", "seed-too-large", "sif5-n1", "ckf5-n1",
              "qsif5-n1", "rule-check-mc", "trajectory-overflow", "integral-n1",
-             "scheme-twice", "rule-check-scheme-twice"],
+             "scheme-twice", "rule-check-scheme-twice", "nm-deterministic"],
     )
     def test_bad_value_returns_2(self, argv, capsys):
         assert main(argv) == 2
@@ -274,12 +284,14 @@ class TestExitCodes:
 
 def test_import_loads_numpy_only():
     # the runtime depends on numpy alone: neither the package nor its CLI
-    # may pull in scipy, which is a test-only dependency
+    # may pull in scipy, which is a test-only dependency, and the package
+    # leaves its CLI unloaded
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import srcf, srcf.cli; "
+        "import sys; sys.path.insert(0, sys.argv[1]); import srcf; "
+        "print('srcf.cli' in sys.modules); import srcf.cli; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     out = subprocess.run([sys.executable, "-c", code, str(src)], stdout=subprocess.PIPE,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["False", "[]"]

@@ -60,6 +60,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             RngStream(0).substream(2**64)
 
+    @pytest.mark.parametrize("seed", [1.7, True])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(TypeError, match=f"^seed must be an int, got {seed!r}$"):
+            RngStream(seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert RngStream(np.uint64(2**64 - 1)).seed == 2**64 - 1
+
     def test_bad_id_type_rejected(self):
         with pytest.raises(TypeError):
             RngStream(0).substream(1.5)

@@ -221,6 +221,19 @@ class TestSchemeType:
         with pytest.raises(ValueError):
             IntegrationScheme(SchemeKind.SIF5, mc_samples=100)
 
+    @pytest.mark.parametrize("kind,kwargs,name", [
+        (SchemeKind.SIF5, {"n_m": 2.5}, "n_m"),
+        (SchemeKind.SIF5, {"n_m": True}, "n_m"),
+        (SchemeKind.MC, {"mc_samples": 2.5}, "mc_samples"),
+    ], ids=["n_m-float", "n_m-bool", "mc_samples-float"])
+    def test_non_integer_counts_rejected(self, kind, kwargs, name):
+        with pytest.raises(TypeError, match=f"^{name} must be an int, got "):
+            IntegrationScheme(kind, **kwargs)
+
+    def test_numpy_integer_counts_accepted(self):
+        assert IntegrationScheme(SchemeKind.SIF5, n_m=np.int64(3)).n_m == 3
+        assert IntegrationScheme(SchemeKind.MC, mc_samples=np.int32(5)).mc_samples == 5
+
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError):
             IntegrationScheme.from_label("ukf")
