@@ -19,7 +19,9 @@ rule-check
 Every command also reads ``--seed``, ``--out``, ``--format`` (csv) and
 ``--config``.  A command rejects any flag or config key it does not read.
 Flags override config-file values (``key = value`` lines named like the
-flags), which override the defaults above.  The master seed comes from
+flags), which override the defaults above; ``--nm`` flags and ``nm`` lines
+add up per scheme.  An ``--nm`` item or ``--mc-samples`` for a rule that
+``--schemes`` does not select is an error.  The master seed comes from
 --seed, the config file, or the SRCF_SEED environment variable, in that
 order.
 """
@@ -199,8 +201,11 @@ def _scheme_label(text: str, source: str) -> str:
     return label
 
 
-def _parse_nm(text: str, source: str) -> dict:
-    """Repetition counts from ``<scheme>=<int>`` items; errors name ``source``."""
+def _parse_nm(text: str, source: str, selected=None) -> dict:
+    """Repetition counts from ``<scheme>=<int>`` items; errors name ``source``.
+
+    With ``selected`` given, an item for a scheme outside it is an error.
+    """
     nm = {}
     for part in text.split(","):
         part = part.strip()
@@ -210,6 +215,8 @@ def _parse_nm(text: str, source: str) -> dict:
             raise ValueError(f"{source} expects <scheme>=<int>, got {part!r}")
         label, _, value = part.partition("=")
         label = _scheme_label(label, source)
+        if selected is not None and label not in selected:
+            raise ValueError(f"{source} {label}: the run selects only {', '.join(selected)}")
         count = _to_int(value.strip(), f"{source} {label}")
         if count < 1:
             raise ValueError(f"{source} {label} must be >= 1, got {count}")
@@ -220,7 +227,10 @@ def _parse_nm(text: str, source: str) -> dict:
 
 
 def _read_config_file(path: str, command: str) -> tuple[dict, dict]:
-    """The option values a config file sets, and the ``path:line: key`` of each."""
+    """The option values a config file sets, and the ``path:line: key`` of each.
+
+    ``nm`` lines add up: its value is a list of (``path:line: nm``, text).
+    """
     options = {k: v for k, v in _COMMANDS[command].options.items() if k != "config"}
     values, sources = {}, {}
     try:
@@ -233,12 +243,9 @@ def _read_config_file(path: str, command: str) -> tuple[dict, dict]:
         line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
-        for sep in ("=", ":"):
-            if sep in line:
-                key, _, value = line.partition(sep)
-                break
-        else:
+        if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
+        key, _, value = line.partition("=")
         key = key.strip().lower()
         if key not in options:
             raise ValueError(
@@ -248,7 +255,7 @@ def _read_config_file(path: str, command: str) -> tuple[dict, dict]:
         sources[key] = f"{path}:{lineno}: {key}"
         value = value.strip()
         if key == "nm":
-            value = _parse_nm(value, sources[key])
+            value = values.get("nm", []) + [(sources[key], value)]
         elif options[key][0] is int:
             value = _to_int(value, sources[key])
         values[key] = value
@@ -306,42 +313,44 @@ def parse_config(argv) -> BenchConfig:
     if not 0 <= values["seed"] <= SEED_MAX:
         raise ValueError(f"{sources['seed']} must be in [0, 2**64 - 1], got {values['seed']}")
 
-    nm = {}
-    if "nm" in options:
-        # later items override earlier ones: defaults, then file, then flags
-        nm = _parse_nm(options["nm"][1], "--nm")
-        nm.update(file_vals.get("nm", {}))
-        for item in args["nm"] or []:
-            nm.update(_parse_nm(item, "--nm"))
-
     n, n_source, schemes_source = values["n"], sources["n"], sources["schemes"]
     if n < spec.min_n:
         raise ValueError(f"{n_source} must be >= {spec.min_n} for {command}, got {n}")
-    mc_samples = values.get("mc-samples")
-    schemes = []
+    labels = []
     for label in values["schemes"].split(","):
         if not label.strip():
             continue
         label = _scheme_label(label, schemes_source)
-        if any(s.label == label for s in schemes):
+        if label in labels:
             raise ValueError(f"{schemes_source} names {label} more than once")
-        scheme = IntegrationScheme.from_label(
-            label,
-            n_m=nm.get(label, 1),
-            mc_samples=mc_samples if label == "mc" else None,
-        )
-        if n < scheme.kind.min_dim:
-            raise ValueError(f"{n_source} must be >= {scheme.kind.min_dim} for {label}, got {n}")
-        if spec.polynomial_rules_only and scheme.kind.degree is None:
+        kind = SchemeKind(label)
+        if n < kind.min_dim:
+            raise ValueError(f"{n_source} must be >= {kind.min_dim} for {label}, got {n}")
+        if spec.polynomial_rules_only and kind.degree is None:
             raise ValueError(f"{command} needs a polynomial-exact rule; mc has no such degree")
-        schemes.append(scheme)
-    if not schemes:
+        labels.append(label)
+    if not labels:
         raise ValueError(f"{schemes_source} must name at least one scheme")
+
+    # later items override earlier ones: defaults, then file lines, then flags
+    nm = _parse_nm(options["nm"][1], "--nm") if "nm" in options else {}
+    for source, text in file_vals.get("nm", []) + [("--nm", item) for item in args.get("nm") or []]:
+        nm.update(_parse_nm(text, source, labels))
+    mc_samples = values.get("mc-samples")
+    if ("mc-samples" in file_vals or args.get("mc-samples") is not None) and "mc" not in labels:
+        only = ", ".join(labels)
+        raise ValueError(f"{sources['mc-samples']} is for mc, but the run selects only {only}")
+    schemes = tuple(
+        IntegrationScheme.from_label(
+            label, n_m=nm.get(label, 1), mc_samples=mc_samples if label == "mc" else None
+        )
+        for label in labels
+    )
 
     return BenchConfig(
         command=command,
         n=n,
-        schemes=tuple(schemes),
+        schemes=schemes,
         seed=values["seed"],
         out=values["out"],
         format=values["format"],

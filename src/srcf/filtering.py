@@ -86,7 +86,7 @@ class PredictedObservation:
 
     y_hat: np.ndarray  # (m,)
     pxy: np.ndarray  # (n, m)
-    pyy: np.ndarray  # (m, m), symmetric; dominates the noise floor r up to slack
+    pyy: np.ndarray  # (m, m), symmetric; the raw estimate + r, also where pxy is zeroed
 
 
 def _model_values(fn: VectorFunction, x: np.ndarray, out_dim: int, name: str) -> np.ndarray:
@@ -188,12 +188,6 @@ def _observation_estimate_usable(joint: np.ndarray) -> bool:
     return w.min() >= -1e-8 * max(w.max(), 1.0)
 
 
-def _psd_magnitude(mat: np.ndarray) -> np.ndarray:
-    """PSD surrogate with the same scale: eigenvalues replaced by |values|."""
-    w, v = np.linalg.eigh(mat)
-    return symmetrize((v * np.abs(w)) @ v.T)
-
-
 def predict_state(
     prior: GaussianBelief,
     model: StateSpaceModel,
@@ -231,9 +225,10 @@ def predict_observation(
 
     When that joint matrix is meaningfully indefinite -- impossible for a
     true covariance, so a sign the rule's integration noise has swamped the
-    observation moments -- the observation is marked uninformative: Pxy is
-    zeroed (the correction then has zero gain) and Pyy keeps its magnitude
-    but is forced PSD.  Valid estimates pass through bitwise untouched.
+    observation moments -- the observation is marked uninformative by
+    zeroing Pxy alone, and Pyy stays the raw estimate + R.  `correct` then
+    returns the prediction: with zero gain when Pyy factors, by its own skip
+    when it does not.  Valid estimates pass through bitwise untouched.
     """
     if pred.dim != model.n:
         raise ValueError(f"belief dimension {pred.dim} != model state dimension {model.n}")
@@ -246,11 +241,8 @@ def predict_observation(
         mean, joint = _centred_moments(xh, w, xh, wdev)
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(joint))):
         raise DivergenceError("observation prediction produced non-finite moments")
-    y_hat, pxy, pyy_raw = mean[n:], joint[:n, n:], joint[n:, n:]
-    if not _observation_estimate_usable(joint):
-        pxy = np.zeros_like(pxy)
-        pyy_raw = _psd_magnitude(pyy_raw)
-    return PredictedObservation(y_hat=y_hat, pxy=pxy, pyy=pyy_raw + model.r)
+    pxy = joint[:n, n:] if _observation_estimate_usable(joint) else np.zeros((n, model.m))
+    return PredictedObservation(y_hat=mean[n:], pxy=pxy, pyy=joint[n:, n:] + model.r)
 
 
 def correct(

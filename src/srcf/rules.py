@@ -24,7 +24,6 @@ MC      plain Monte-Carlo: i.i.d. standard-normal points, equal weights.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -87,8 +86,8 @@ class IntegrationScheme:
     kind : SchemeKind
     n_m : int
         Number of independent rule draws averaged per integral evaluation.
-        Forced to 1 (with a warning) for deterministic kinds, where
-        repetitions would be identical.
+        Must be 1 for deterministic kinds, where repetitions would be
+        identical.
     mc_samples : int, optional
         Sample count per draw; required for and exclusive to MC.
     """
@@ -106,12 +105,7 @@ class IntegrationScheme:
         elif self.mc_samples is not None:
             raise ValueError(f"mc_samples is only valid for MC, not {self.kind.value}")
         if self.kind.deterministic and self.n_m != 1:
-            warnings.warn(
-                f"{self.kind.value} is deterministic; forcing n_m from {self.n_m} to 1",
-                UserWarning,
-                stacklevel=2,
-            )
-            object.__setattr__(self, "n_m", 1)
+            raise ValueError(f"n_m must be 1 for the deterministic {self.label}, got {self.n_m}")
 
     @property
     def label(self) -> str:
@@ -124,8 +118,6 @@ class IntegrationScheme:
         except ValueError:
             valid = ", ".join(k.value for k in SchemeKind)
             raise ValueError(f"unknown scheme {label!r}; expected one of: {valid}") from None
-        if kind is SchemeKind.MC and mc_samples is None:
-            mc_samples = 600
         return cls(kind, n_m=n_m, mc_samples=mc_samples)
 
     def validate_dim(self, n: int) -> None:

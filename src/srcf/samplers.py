@@ -19,28 +19,25 @@ _DEGENERATE_TOL = 1e-12
 _MAX_REDRAWS = 100
 
 
-def sample_chi(dof: int, rng: RngStream, size=None) -> float | np.ndarray:
-    """Draw from a chi distribution with ``dof`` degrees of freedom.
+def sample_chi(dof: int, rng: RngStream, size: int) -> np.ndarray:
+    """Draw ``size`` variates from a chi distribution with ``dof`` degrees of freedom.
 
     Implemented as the square root of a gamma(dof/2, scale=2) variate so odd
     degrees of freedom work without summing squared normals.
     """
     if dof < 1:
         raise ValueError("degrees of freedom must be >= 1")
-    g = rng.generator.standard_gamma(0.5 * dof, size=size)
-    out = np.sqrt(2.0 * g)
-    return float(out) if size is None else out
+    return np.sqrt(2.0 * rng.generator.standard_gamma(0.5 * dof, size=size))
 
 
-def sample_beta(alpha: float, beta: float, rng: RngStream, size=None) -> float | np.ndarray:
-    """Draw from Beta(alpha, beta) via a ratio of two gamma variates."""
+def sample_beta(alpha: float, beta: float, rng: RngStream, size: int) -> np.ndarray:
+    """Draw ``size`` variates from Beta(alpha, beta) via a ratio of two gamma variates."""
     if alpha <= 0.0 or beta <= 0.0:
         raise ValueError("beta distribution parameters must be positive")
     gen = rng.generator
     ga = gen.standard_gamma(alpha, size=size)
     gb = gen.standard_gamma(beta, size=size)
-    out = ga / (ga + gb)
-    return float(out) if size is None else out
+    return ga / (ga + gb)
 
 
 def _radial_pair_batch(n: int, size: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:

@@ -38,6 +38,8 @@ class TestParseConfig:
         cfg = parse_config(["integral-bench", "--schemes", "sif5,mc", "--mc-samples", "100"])
         assert [s.label for s in cfg.schemes] == ["sif5", "mc"]
         assert cfg.schemes[1].mc_samples == 100
+        # the --nm defaults for sif3 and qsif5 stay allowed when unselected
+        assert cfg.nm == {"sif5": 10, "mc": 1}
 
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
@@ -85,11 +87,11 @@ class TestParseConfig:
 
     def test_config_file_and_flag_precedence(self, tmp_path):
         path = tmp_path / "bench.cfg"
-        path.write_text("n = 8\nruns = 12\nnm = sif5=4\nformat = json\n")
-        cfg = parse_config(["integral-bench", "--config", str(path), "--runs", "3"])
+        path.write_text("n = 8\nruns = 12\nnm = sif5=4\nformat = json\nnm = sif3=7,qsif5=2\n")
+        cfg = parse_config(["integral-bench", "--config", str(path), "--runs", "3", "--nm", "qsif5=3"])
         assert cfg.n == 8          # from file
         assert cfg.runs == 3       # flag wins
-        assert cfg.nm["sif5"] == 4
+        assert cfg.nm == {"ckf3": 1, "ckf5": 1, "sif3": 7, "sif5": 4, "qsif5": 3, "mc": 1}
         assert cfg.format == "json"
 
     @pytest.mark.parametrize("argv,message", [
@@ -97,6 +99,12 @@ class TestParseConfig:
         (["integral-bench", "--n", "1"], "--n must be >= 2 for integral-bench, got 1$"),
         (["filter-bench", "--schemes", "sif5", "--n", "1"], "--n must be >= 2 for sif5, got 1$"),
         (["filter-bench", "--schemes", "sif5,sif5"], "--schemes names sif5 more than once$"),
+        (["rule-check", "--schemes", "mc"],
+         "rule-check needs a polynomial-exact rule; mc has no such degree$"),
+        (["integral-bench", "--n", "3", "--schemes", "sif5", "--nm", "sif3=7"],
+         "--nm sif3: the run selects only sif5$"),
+        (["filter-bench", "--schemes", "ckf3,sif5", "--mc-samples", "5"],
+         "--mc-samples is for mc, but the run selects only ckf3, sif5$"),
     ])
     def test_scheme_and_dimension_errors_name_the_flag(self, argv, message):
         with pytest.raises(ValueError, match=f"^{message}"):
@@ -106,6 +114,11 @@ class TestParseConfig:
         ("integral-bench", "schemes = sif5,ukf\n", "1: schemes ukf: unknown scheme; expected one of: "),
         ("integral-bench", "n = 1\n", "1: n must be >= 2 for integral-bench, got 1$"),
         ("filter-bench", "schemes = sif5\nn = 1\n", "2: n must be >= 2 for sif5, got 1$"),
+        ("integral-bench", "schemes = sif5\nnm = sif5=4\nnm = sif3=7\n",
+         "3: nm sif3: the run selects only sif5$"),
+        ("filter-bench", "mc-samples = 5\nschemes = ckf3\n",
+         "1: mc-samples is for mc, but the run selects only ckf3$"),
+        ("integral-bench", "n: 4\n", "1: expected 'key = value', got 'n: 4'$"),
     ])
     def test_scheme_and_dimension_errors_name_the_config_line(self, tmp_path, command, text, message):
         path = tmp_path / "bad.cfg"
@@ -253,10 +266,14 @@ class TestExitCodes:
              "--schemes", "sif5,sif5"],
             ["rule-check", "--runs", "2", "--schemes", "ckf3, CKF3"],
             ["integral-bench", "--nm", "ckf3=5"],
+            ["integral-bench", "--n", "3", "--runs", "2", "--schemes", "sif5", "--nm", "sif3=7"],
+            ["filter-bench", "--n", "2", "--q", "1", "--steps", "2", "--nmc", "1",
+             "--schemes", "ckf3", "--mc-samples", "5"],
         ],
         ids=["runs-zero", "missing-config", "seed-too-large", "sif5-n1", "ckf5-n1",
              "qsif5-n1", "rule-check-mc", "trajectory-overflow", "integral-n1",
-             "scheme-twice", "rule-check-scheme-twice", "nm-deterministic"],
+             "scheme-twice", "rule-check-scheme-twice", "nm-deterministic",
+             "nm-unselected", "mc-samples-unselected"],
     )
     def test_bad_value_returns_2(self, argv, capsys):
         assert main(argv) == 2

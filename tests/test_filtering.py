@@ -595,8 +595,10 @@ class TestFallbackPolicy:
     def test_zero_gain_forced_by_negative_vertex_weights(self, n):
         # ckf5 on N(0, I) with h(x) = sum x_i^4: at n = 10 the vertex weights
         # are negative and the raw Pyy comes out negative (-643.47), so the
-        # estimate is rejected; at n = 6 all weights are positive and the raw
-        # estimate (Pyy = 190.37) passes through untouched
+        # estimate is rejected by zeroing Pxy alone, and correct skips the
+        # update because Pyy = -642.47 does not factor; at n = 6 all weights
+        # are positive and the raw estimate (Pyy = 190.37) passes through
+        # untouched
         model = StateSpaceModel(
             f=VectorFunction(lambda x: x, vectorized=True),
             h=VectorFunction(lambda x: (x**4).sum(axis=1), vectorized=True),
@@ -612,7 +614,7 @@ class TestFallbackPolicy:
         if n == 10:
             assert raw_pyy[0, 0] < 0
             assert not np.any(obs.pxy)
-            np.testing.assert_array_equal(obs.pyy, np.abs(raw_pyy) + 1.0)
+            np.testing.assert_array_equal(obs.pyy, raw_pyy + 1.0)
             post = correct(belief, obs, np.array([3.0]))
             np.testing.assert_array_equal(post.mean, belief.mean)
             np.testing.assert_array_equal(post.cov, belief.cov)
@@ -622,8 +624,8 @@ class TestFallbackPolicy:
             np.testing.assert_array_equal(obs.pyy, raw_pyy + 1.0)
 
     def test_zero_gain_pyy_of_a_vector_observation_is_symmetric(self):
-        # the m = 2 case of the test above: the rejected estimate's Pyy is
-        # the PSD magnitude of the raw one, built exactly symmetric
+        # the m = 2 case of the test above: the rejected estimate keeps the
+        # raw Pyy + R, which is exactly symmetric
         n = 10
 
         def h(x):
@@ -641,14 +643,6 @@ class TestFallbackPolicy:
         post = correct(belief, obs, np.array([3.0, 4.0]))
         np.testing.assert_array_equal(post.mean, belief.mean)
         np.testing.assert_array_equal(post.cov, belief.cov)
-
-    def test_psd_magnitude_is_exactly_symmetric(self):
-        # (v |w|) v^T alone rounds its two triangles differently for m >= 3
-        a = np.random.default_rng(3).standard_normal((3, 3))
-        mag = filtering._psd_magnitude(a + a.T)
-        np.testing.assert_array_equal(mag, mag.T)
-        np.testing.assert_allclose(np.linalg.eigvalsh(mag), np.sort(np.abs(np.linalg.eigvalsh(a + a.T))),
-                                   rtol=0, atol=1e-12)
 
 
 def _assert_same_posteriors(a, b):

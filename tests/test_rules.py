@@ -208,14 +208,20 @@ class TestSphericalWeights:
 
 
 class TestSchemeType:
-    def test_deterministic_nm_forced_to_one_with_warning(self):
-        with pytest.warns(UserWarning):
-            s = IntegrationScheme(SchemeKind.CKF5, n_m=10)
-        assert s.n_m == 1
+    @pytest.mark.parametrize("kind", [SchemeKind.CKF3, SchemeKind.CKF5], ids=["ckf3", "ckf5"])
+    def test_deterministic_nm_other_than_one_rejected(self, kind):
+        message = f"^n_m must be 1 for the deterministic {kind.value}, got 10$"
+        with pytest.raises(ValueError, match=message):
+            IntegrationScheme(kind, n_m=10)
+        with pytest.raises(ValueError, match=message):
+            IntegrationScheme.from_label(kind.value, n_m=10)
+        assert IntegrationScheme(kind).n_m == 1
 
     def test_mc_requires_samples(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="requires mc_samples"):
             IntegrationScheme(SchemeKind.MC)
+        with pytest.raises(ValueError, match="requires mc_samples"):
+            IntegrationScheme.from_label("mc")
 
     def test_mc_samples_only_for_mc(self):
         with pytest.raises(ValueError):

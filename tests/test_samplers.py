@@ -27,7 +27,7 @@ class TestChi:
 
     def test_zero_dof_rejected(self):
         with pytest.raises(ValueError):
-            sample_chi(0, RngStream(0))
+            sample_chi(0, RngStream(0), size=1)
 
 
 class TestBeta:
@@ -48,9 +48,17 @@ class TestBeta:
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
-            sample_beta(0.0, 1.0, RngStream(0))
+            sample_beta(0.0, 1.0, RngStream(0), size=1)
         with pytest.raises(ValueError):
-            sample_beta(1.0, -2.0, RngStream(0))
+            sample_beta(1.0, -2.0, RngStream(0), size=1)
+
+
+@pytest.mark.parametrize("draw", [lambda rng: sample_chi(3, rng), lambda rng: sample_beta(2.0, 1.5, rng)],
+                         ids=["chi", "beta"])
+def test_size_is_required(draw):
+    # every sampler returns an array; there is no scalar mode
+    with pytest.raises(TypeError, match="size"):
+        draw(RngStream(0))
 
 
 class TestRadialSingle:
