@@ -228,8 +228,6 @@ class GrowthModel:
             h=VectorFunction(self.observe, vectorized=True),
             q=self.process_var * np.eye(self.n),
             r=np.array([[self.obs_var]]),
-            n=self.n,
-            m=1,
         )
 
     def init_belief(self) -> GaussianBelief:

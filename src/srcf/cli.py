@@ -230,9 +230,10 @@ def _read_config_file(path: str, command: str) -> tuple[dict, dict]:
     """The option values a config file sets, and the ``path:line: key`` of each.
 
     ``nm`` lines add up: its value is a list of (``path:line: nm``, text).
+    Any other key set on a second line is an error naming both lines.
     """
     options = {k: v for k, v in _COMMANDS[command].options.items() if k != "config"}
-    values, sources = {}, {}
+    values, sources, line_of = {}, {}, {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -252,6 +253,9 @@ def _read_config_file(path: str, command: str) -> tuple[dict, dict]:
                 f"{path}:{lineno}: unknown config key {key!r} for {command} "
                 f"(valid: {', '.join(sorted(options))})"
             )
+        if key != "nm" and key in line_of:
+            raise ValueError(f"{path}:{lineno}: {key} is already set on line {line_of[key]}")
+        line_of[key] = lineno
         sources[key] = f"{path}:{lineno}: {key}"
         value = value.strip()
         if key == "nm":
@@ -450,14 +454,13 @@ def _fmt(value) -> str:
 
 
 def _round_floats(obj):
-    if isinstance(obj, float):
-        return float(f"{obj:.10g}")
+    """A JSON-ready copy: floats to 10 significant digits, a NaN or infinity as None (null)."""
+    if isinstance(obj, (float, np.floating)):
+        return float(f"{float(obj):.10g}") if np.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(f"{float(obj):.10g}")
     if isinstance(obj, (np.integer,)):
         return int(obj)
     return obj
@@ -491,7 +494,7 @@ def emit_report(meta: dict, columns: list[str], rows: list[dict], config: BenchC
     }
     if config.format == "json":
         doc = {"meta": _round_floats(meta), "rows": _round_floats(rows)}
-        text = json.dumps(doc, indent=2) + "\n"
+        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     else:
         lines = [f"# {key}: {value}" for key, value in _flatten_meta(meta)]
         lines.append(",".join(columns))

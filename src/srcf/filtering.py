@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,9 +54,10 @@ class StateSpaceModel:
     ``f`` and ``h`` may be plain callables of one state vector or
     :class:`VectorFunction` instances (use ``vectorized=True`` for functions
     that accept (P, n) stacks; that is the fast path).  ``w ~ N(0, q)`` and
-    ``v ~ N(0, r)``; q must have shape (n, n) and r shape (m, m) (a 0-d
-    scalar counts as 1 x 1), both pass `checked_covariance` and are
-    symmetrized on construction.
+    ``v ~ N(0, r)``: the state dimension n and the observation dimension m
+    are read from q (n, n) and r (m, m) (a 0-d scalar counts as 1 x 1),
+    both of which pass `checked_covariance` and are symmetrized on
+    construction.
 
     The points passed to ``f`` and ``h`` (the (P, n) stack of a vectorized
     function, or each (n,) row of it for a plain callable) are column-major,
@@ -70,14 +71,15 @@ class StateSpaceModel:
     h: Callable | VectorFunction
     q: np.ndarray
     r: np.ndarray
-    n: int
-    m: int
+    n: int = field(init=False)
+    m: int = field(init=False)
 
     def __post_init__(self):
         self.f = _as_vector_function(self.f)
         self.h = _as_vector_function(self.h)
-        self.q = checked_covariance(self.q, "q", self.n)
-        self.r = checked_covariance(self.r, "r", self.m)
+        self.q = checked_covariance(self.q, "q", 1 if np.ndim(self.q) == 0 else None)
+        self.r = checked_covariance(self.r, "r", 1 if np.ndim(self.r) == 0 else None)
+        self.n, self.m = self.q.shape[0], self.r.shape[0]
 
 
 @dataclass
@@ -202,11 +204,13 @@ def predict_state(
     if prior.dim != model.n:
         raise ValueError(f"prior dimension {prior.dim} != model state dimension {model.n}")
     rows = scheme.n_m * points_per_draw(scheme, model.n)
-    with _scratch.pair(rows, model.n) as (points, dev):
-        x, w = sigma_points(prior, scheme, rng, out=points)
-        fx = _model_values(model.f, x, model.n, "transition function")
-        mean, cov = _centred_moments(fx, w, dev, points)
-    return _belief("state prediction", mean, cov + model.q)
+    # a non-finite value below ends in a DivergenceError or an IntegrandError, not a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        with _scratch.pair(rows, model.n) as (points, dev):
+            x, w = sigma_points(prior, scheme, rng, out=points)
+            fx = _model_values(model.f, x, model.n, "transition function")
+            mean, cov = _centred_moments(fx, w, dev, points)
+        return _belief("state prediction", mean, cov + model.q)
 
 
 def predict_observation(
@@ -234,15 +238,17 @@ def predict_observation(
         raise ValueError(f"belief dimension {pred.dim} != model state dimension {model.n}")
     n = model.n
     rows = scheme.n_m * points_per_draw(scheme, n)
-    with _scratch.pair(rows, n + model.m) as (wdev, xh):
-        # the rule layer writes x into the first n columns of [x, h(x)]
-        x, w = sigma_points(pred, scheme, rng, out=xh[:, :n])
-        xh[:, n:] = _model_values(model.h, x, model.m, "observation function")
-        mean, joint = _centred_moments(xh, w, xh, wdev)
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(joint))):
-        raise DivergenceError("observation prediction produced non-finite moments")
-    pxy = joint[:n, n:] if _observation_estimate_usable(joint) else np.zeros((n, model.m))
-    return PredictedObservation(y_hat=mean[n:], pxy=pxy, pyy=joint[n:, n:] + model.r)
+    # a non-finite value below ends in a DivergenceError or an IntegrandError, not a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        with _scratch.pair(rows, n + model.m) as (wdev, xh):
+            # the rule layer writes x into the first n columns of [x, h(x)]
+            x, w = sigma_points(pred, scheme, rng, out=xh[:, :n])
+            xh[:, n:] = _model_values(model.h, x, model.m, "observation function")
+            mean, joint = _centred_moments(xh, w, xh, wdev)
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(joint))):
+            raise DivergenceError("observation prediction produced non-finite moments")
+        pxy = joint[:n, n:] if _observation_estimate_usable(joint) else np.zeros((n, model.m))
+        return PredictedObservation(y_hat=mean[n:], pxy=pxy, pyy=joint[n:, n:] + model.r)
 
 
 def correct(
@@ -278,25 +284,27 @@ def correct(
         raise ValueError(f"pxy must have shape ({pred.dim}, {m}), got shape {pxy.shape}")
     if not all(np.all(np.isfinite(a)) for a in (y_hat, pxy, obs.pyy)):
         raise DivergenceError("observation moments are not finite")
-    pyy = checked_covariance(obs.pyy, "pyy", m)
-    factor = None
-    try:
-        factor = np.linalg.cholesky(pyy)
-    except np.linalg.LinAlgError:
+    # an overflow below ends in a DivergenceError or the Pyy guard's ValueError, not a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        pyy = checked_covariance(obs.pyy, "pyy", m)
+        factor = None
         try:
-            factor = np.linalg.cholesky(pyy + diagonal_jitter(pyy) * np.eye(m))
+            factor = np.linalg.cholesky(pyy)
         except np.linalg.LinAlgError:
-            pass
-    if factor is None:
-        # indefinite innovation covariance: skip the measurement
-        return _belief("correction", pred.mean.copy(), pred.cov)
-    # Pyy K^T = Pxy^T as two solves on the lower factor: L z = Pxy^T, L^T K^T = z
-    gain = np.linalg.solve(factor.T, np.linalg.solve(factor, pxy.T)).T
-    if not np.all(np.isfinite(gain)):
-        raise DivergenceError("gain solve produced non-finite values")
-    mean = pred.mean + gain @ (y - y_hat)
-    # symmetrized here: the difference can cancel, and the belief's tolerance is relative to it
-    return _belief("correction", mean, symmetrize(pred.cov - gain @ pxy.T))
+            try:
+                factor = np.linalg.cholesky(pyy + diagonal_jitter(pyy) * np.eye(m))
+            except np.linalg.LinAlgError:
+                pass
+        if factor is None:
+            # indefinite innovation covariance: skip the measurement
+            return _belief("correction", pred.mean.copy(), pred.cov)
+        # Pyy K^T = Pxy^T as two solves on the lower factor: L z = Pxy^T, L^T K^T = z
+        gain = np.linalg.solve(factor.T, np.linalg.solve(factor, pxy.T)).T
+        if not np.all(np.isfinite(gain)):
+            raise DivergenceError("gain solve produced non-finite values")
+        mean = pred.mean + gain @ (y - y_hat)
+        # symmetrized here: the difference can cancel, and the belief's tolerance is relative to it
+        return _belief("correction", mean, symmetrize(pred.cov - gain @ pxy.T))
 
 
 def run_filter(

@@ -289,7 +289,7 @@ def _layout(kind: SchemeKind, n: int) -> _Layout:
     return _Layout(dirs, sphere_w, radii, radial_w, p)
 
 
-def _symmetric_rule(cols, sphere_w, radii, radial_w, mean, out):
+def _symmetric_rule(cols, sphere_w, radii, radial_w, mean, out, size):
     """The mean plus +-r d for every radius r and direction d, with product weights.
 
     ``cols`` is (n, D), or (size, n, D) for per-draw rotated directions,
@@ -297,11 +297,12 @@ def _symmetric_rule(cols, sphere_w, radii, radial_w, mean, out):
     ``sphere_w`` (D,) the weight of each +-direction point on the sphere.
     ``radii`` is (size, K) and ``radial_w`` (size, K + 1), the centre weight
     first, as `radial_weights` gives it, or (size, K) for a rule without a
-    centre.  Points are laid out as the centre (the mean), then for each
-    radius mean + r d and mean - r d over the directions, and are written
-    into ``out``, of shape (size * P, n).
+    centre; fixed radii come as one (1, K) row that every draw shares.
+    Points are laid out as the centre (the mean), then for each radius
+    mean + r d and mean - r d over the directions, and are written into
+    ``out``, of shape (size * P, n).
     """
-    size, k = radii.shape
+    k = radii.shape[1]
     n, d = cols.shape[-2:]
     first = radial_w.shape[1] - k
     p = out.shape[0] // size
@@ -400,13 +401,11 @@ def draw_rule_batch(
         np.add(c.reshape(-1, n) @ root.T, mean, out=out)
         return out.reshape(total, m, n), np.full((total, m), 1.0 / m)
 
-    # the fixed radii are broadcast to every draw; sif3 and sif5 sample theirs,
-    # and the rotation is drawn after them
+    # every draw shares the fixed radii; sif3 and sif5 sample theirs, and the
+    # rotation is drawn after them
     lay = _layout(kind, n)
-    if lay.radii is not None:
-        radii = np.broadcast_to(lay.radii, (total, lay.radii.shape[1]))
-        radial_w = np.broadcast_to(lay.radial_w, (total, lay.radial_w.shape[1]))
-    else:
+    radii, radial_w = lay.radii, lay.radial_w
+    if radii is None:
         if kind is SchemeKind.SIF3:
             radii = np.concatenate([sample_chi(n + 2, s, size=size) for s in streams])[:, None]
         else:
@@ -416,7 +415,7 @@ def draw_rule_batch(
     # the axes L Q e_i are the columns of L Q; other directions go as rows
     # times (L Q)^T, whose rounding the points keep
     cols = lq if kind.degree == 3 else np.swapaxes(lay.dirs @ np.swapaxes(lq, -1, -2), -1, -2)
-    return _symmetric_rule(cols, lay.sphere_w, radii, radial_w, mean, out)
+    return _symmetric_rule(cols, lay.sphere_w, radii, radial_w, mean, out, total)
 
 
 def points_per_draw(scheme: IntegrationScheme, n: int) -> int:

@@ -141,7 +141,7 @@ def test_c6_kalman_oracle_equivalence():
     model = StateSpaceModel(
         f=VectorFunction(lambda z: z @ a.T, vectorized=True),
         h=VectorFunction(lambda z: z @ c.T, vectorized=True),
-        q=q, r=r, n=n, m=m,
+        q=q, r=r,
     )
     init = GaussianBelief(x0, p0)
     for label in ("ckf3", "ckf5", "sif3", "sif5", "qsif5"):

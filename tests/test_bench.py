@@ -259,7 +259,6 @@ class _LinearObsModel:
             h=VectorFunction(lambda x: x[:, 0], vectorized=True),
             q=self.process_var * np.eye(self.n),
             r=np.array([[self.obs_var]]),
-            n=self.n, m=1,
         )
 
     def init_belief(self):
@@ -305,6 +304,14 @@ class TestFilterBench:
         assert len(series[0].meta["included_runs"]) == 6
         assert series[0].sq_errors.shape == (6, 5)
         assert np.isfinite(series[0].values).all()
+
+    def test_every_run_diverged(self):
+        # ckf3 diverges on the first trajectory of the q = 8 growth model
+        series = run_filter_bench(GrowthModel(q=8, n=2), [scheme("ckf3")], 1, 20, RngStream(0))
+        s = series[0]
+        assert np.isnan(s.values).all() and s.values.shape == (20,)
+        assert s.sq_errors.shape == (0, 20)
+        assert s.meta["included_runs"] == [] and s.meta["excluded_runs"] == 1
 
     def test_metadata_complete(self):
         model = GrowthModel(q=2, n=2)

@@ -119,6 +119,8 @@ class TestParseConfig:
         ("filter-bench", "mc-samples = 5\nschemes = ckf3\n",
          "1: mc-samples is for mc, but the run selects only ckf3$"),
         ("integral-bench", "n: 4\n", "1: expected 'key = value', got 'n: 4'$"),
+        ("integral-bench", "runs = 2\nschemes = ckf3\nruns = 3\nn = 3\n",
+         "3: runs is already set on line 1$"),
     ])
     def test_scheme_and_dimension_errors_name_the_config_line(self, tmp_path, command, text, message):
         path = tmp_path / "bad.cfg"
@@ -290,6 +292,21 @@ class TestExitCodes:
         path = tmp_path / "unread.cfg"
         path.write_text(f"{option} = {value}\n")
         assert _exit_code([command, "--config", str(path)]) == 2
+
+    def test_every_run_diverged_writes_strict_json_and_returns_1(self, tmp_path):
+        out = tmp_path / "diverged.json"
+        code = main([
+            "filter-bench", "--n", "2", "--q", "8", "--steps", "20", "--nmc", "1",
+            "--schemes", "ckf3", "--format", "json", "--out", str(out),
+        ])
+        assert code == 1
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        doc = json.loads(out.read_text(), parse_constant=reject)
+        assert doc["meta"]["schemes"]["ckf3"]["excluded_runs"] == 1
+        assert [row["rmse"] for row in doc["rows"]] == [None] * 20
 
     def test_unwritable_out_returns_1(self, tmp_path):
         code = main([

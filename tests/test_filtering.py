@@ -33,34 +33,40 @@ def scheme(label, n_m=1, mc=2000):
 
 
 def linear_model(a, c, q, r):
-    n, m = a.shape[0], c.shape[0]
     return StateSpaceModel(
         f=VectorFunction(lambda x: x @ a.T, vectorized=True),
         h=VectorFunction(lambda x: x @ c.T, vectorized=True),
-        q=q, r=r, n=n, m=m,
+        q=q, r=r,
     )
 
 
 class TestStateSpaceModel:
-    def _model(self, q, r, n=2, m=1):
-        return StateSpaceModel(f=lambda x: x, h=lambda x: x[0], q=q, r=r, n=n, m=m)
+    def _model(self, q, r):
+        return StateSpaceModel(f=lambda x: x, h=lambda x: x[0], q=q, r=r)
 
     @pytest.mark.parametrize("q", [np.array([[1.0, 0.0, 0.0, 1.0]]), np.array([[1.0], [0.0], [0.0], [1.0]]),
-                                   np.eye(3), np.ones(4)])
+                                   np.ones(4)])
     def test_misshaped_q_rejected(self, q):
-        # q holds n^2 = 4 entries but is not (2, 2): no reshape is guessed
-        with pytest.raises(ValueError, match="q must have shape"):
+        # q holds 4 entries but is not square: no reshape is guessed
+        with pytest.raises(ValueError, match="q must be a non-empty square matrix"):
             self._model(q, np.eye(1))
 
-    @pytest.mark.parametrize("r", [np.ones(1), np.eye(2), np.ones((1, 2))])
+    @pytest.mark.parametrize("r", [np.ones(1), np.ones((1, 2))])
     def test_misshaped_r_rejected(self, r):
-        with pytest.raises(ValueError, match="r must have shape"):
+        with pytest.raises(ValueError, match="r must be a non-empty square matrix"):
             self._model(np.eye(2), r)
 
+    def test_dimensions_read_from_q_and_r(self):
+        model = self._model(np.eye(3), np.eye(2))
+        assert (model.n, model.m) == (3, 2)
+        with pytest.raises(TypeError):
+            StateSpaceModel(f=lambda x: x, h=lambda x: x, q=np.eye(2), r=np.eye(1), n=2, m=1)
+
     def test_scalars_become_one_by_one(self):
-        model = self._model(2.0, 0.5, n=1)
+        model = self._model(2.0, 0.5)
         np.testing.assert_array_equal(model.q, [[2.0]])
         np.testing.assert_array_equal(model.r, [[0.5]])
+        assert (model.n, model.m) == (1, 1)
 
 
 class TestPredictState:
@@ -71,7 +77,7 @@ class TestPredictState:
         model = StateSpaceModel(
             f=VectorFunction(lambda x: x, vectorized=True),
             h=VectorFunction(lambda x: x, vectorized=True),
-            q=np.zeros((n, n)), r=np.eye(n), n=n, m=n,
+            q=np.zeros((n, n)), r=np.eye(n),
         )
         pred = predict_state(prior, model, scheme(label), RngStream(1, stream_id=label))
         np.testing.assert_allclose(pred.mean, prior.mean, atol=1e-9)
@@ -97,21 +103,34 @@ class TestPredictState:
         model = StateSpaceModel(
             f=VectorFunction(lambda x: 0.9 * x, vectorized=True),
             h=VectorFunction(lambda x: x[:, :1], vectorized=True),
-            q=100.0 * np.eye(n), r=np.eye(1), n=n, m=1,
+            q=100.0 * np.eye(n), r=np.eye(1),
         )
         pred = predict_state(prior, model, scheme("sif5"), RngStream(4))
         np.testing.assert_allclose(pred.mean, 0.9 * np.ones(n), atol=1e-8)
         np.testing.assert_allclose(pred.cov, 108.1 * np.eye(n), atol=1e-7)
 
+    def test_q_of_another_size_than_the_prior_rejected(self):
+        # the model's state dimension is that of its q
+        model = StateSpaceModel(f=lambda x: x, h=lambda x: x[0], q=np.eye(3), r=np.eye(1))
+        prior = GaussianBelief(np.zeros(2), np.eye(2))
+        with pytest.raises(ValueError, match=r"^prior dimension 2 != model state dimension 3$"):
+            predict_state(prior, model, scheme("ckf3"), RngStream(4))
+
 
 class TestPredictObservation:
+    def test_belief_of_another_size_than_q_rejected(self):
+        model = StateSpaceModel(f=lambda x: x, h=lambda x: x[0], q=np.eye(3), r=np.eye(1))
+        pred = GaussianBelief(np.zeros(2), np.eye(2))
+        with pytest.raises(ValueError, match=r"^belief dimension 2 != model state dimension 3$"):
+            predict_observation(pred, model, scheme("ckf3"), RngStream(5))
+
     def test_identity_observation(self):
         n = 3
         pred = GaussianBelief(np.array([1.0, -2.0, 0.5]), np.diag([2.0, 1.0, 0.5]))
         model = StateSpaceModel(
             f=VectorFunction(lambda x: x, vectorized=True),
             h=VectorFunction(lambda x: x, vectorized=True),
-            q=np.eye(n), r=np.zeros((n, n)), n=n, m=n,
+            q=np.eye(n), r=np.zeros((n, n)),
         )
         obs = predict_observation(pred, model, scheme("ckf5"), RngStream(5))
         np.testing.assert_allclose(obs.y_hat, pred.mean, atol=1e-8)
@@ -137,7 +156,7 @@ class TestPredictObservation:
         model = StateSpaceModel(
             f=VectorFunction(lambda x: x, vectorized=True),
             h=VectorFunction(lambda x: np.full(x.shape[0], 3.5), vectorized=True),
-            q=np.eye(n), r=np.array([[2.0]]), n=n, m=1,
+            q=np.eye(n), r=np.array([[2.0]]),
         )
         obs = predict_observation(pred, model, scheme("sif3"), RngStream(8))
         assert abs(obs.y_hat[0] - 3.5) < 1e-12
@@ -153,7 +172,7 @@ class TestPredictObservation:
             f=VectorFunction(lambda x: x, vectorized=True),
             h=VectorFunction(lambda x: np.stack([np.sin(x[:, 0]), x[:, 1] ** 2], axis=1),
                              vectorized=True),
-            q=np.eye(n), r=r, n=n, m=2,
+            q=np.eye(n), r=r,
         )
         obs = predict_observation(pred, model, scheme("ckf5"), RngStream(9))
         eps = 1e-8 * np.trace(r)
@@ -272,6 +291,16 @@ class TestCorrect:
         with pytest.raises(DivergenceError, match="gain"):
             correct(pred, obs, np.zeros(1))
 
+    @pytest.mark.parametrize("moment", ["y_hat", "pxy", "pyy"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_moment_raises_divergence(self, moment, bad):
+        moments = {"y_hat": np.zeros(1), "pxy": np.ones((2, 1)), "pyy": np.array([[2.0]])}
+        moments[moment] = moments[moment].copy()
+        moments[moment].flat[0] = bad
+        pred = GaussianBelief(np.zeros(2), np.eye(2))
+        with pytest.raises(DivergenceError, match="^observation moments are not finite$"):
+            correct(pred, PredictedObservation(**moments), np.zeros(1))
+
     def test_bad_observation_shape_rejected(self):
         pred = GaussianBelief(np.zeros(1), np.eye(1))
         obs = PredictedObservation(y_hat=np.zeros(1), pxy=np.eye(1), pyy=np.eye(1))
@@ -387,7 +416,7 @@ class TestRunFilter:
         model = StateSpaceModel(
             f=VectorFunction(lambda x: x, vectorized=True),
             h=VectorFunction(lambda x: x, vectorized=True),
-            q=np.zeros((n, n)), r=np.zeros((n, n)), n=n, m=n,
+            q=np.zeros((n, n)), r=np.zeros((n, n)),
         )
         truth = np.array([1.5, -0.5])
         ys = np.tile(truth, (10, 1))
@@ -403,7 +432,7 @@ class TestRunFilter:
         model = StateSpaceModel(
             f=VectorFunction(lambda x: 0.9 * x, vectorized=True),
             h=VectorFunction(lambda x: (x**2).sum(axis=1), vectorized=True),
-            q=np.eye(n), r=np.array([[0.5]]), n=n, m=1,
+            q=np.eye(n), r=np.array([[0.5]]),
         )
         init = GaussianBelief(np.zeros(n), np.eye(n))
         a = run_filter(model, scheme("sif5", n_m=2), ys, init, RngStream(15))
@@ -423,7 +452,7 @@ class TestRunFilter:
         model = StateSpaceModel(
             f=VectorFunction(lambda x: 3.0 * x, vectorized=True),  # unstable dynamics
             h=VectorFunction(h, vectorized=True),
-            q=np.eye(n), r=np.eye(1) * 1e6, n=n, m=1,
+            q=np.eye(n), r=np.eye(1) * 1e6,
         )
         ys = np.full((40, 1), 0.0)
         with pytest.raises(DivergenceError) as err:
@@ -434,7 +463,7 @@ class TestRunFilter:
 
     def test_empty_observations_rejected(self):
         model = StateSpaceModel(
-            f=lambda x: x, h=lambda x: x, q=np.eye(1), r=np.eye(1), n=1, m=1
+            f=lambda x: x, h=lambda x: x, q=np.eye(1), r=np.eye(1)
         )
         with pytest.raises(ValueError):
             run_filter(model, scheme("ckf3"), np.zeros((0, 1)),
@@ -448,7 +477,7 @@ class TestRunFilter:
         model = StateSpaceModel(
             f=VectorFunction(lambda x: 0.9 * x, vectorized=True),
             h=VectorFunction(lambda x: (1.0 + (x**2).sum(axis=1)) ** 2, vectorized=True),
-            q=np.eye(n) * 100.0, r=np.array([[10.0]]), n=n, m=1,
+            q=np.eye(n) * 100.0, r=np.array([[10.0]]),
         )
         xs = np.ones(n)
         ys = []
@@ -515,34 +544,42 @@ class TestLinearGaussianConsistency:
         assert lo <= nees <= hi, f"final NEES {nees:.1f} outside [{lo:.1f}, {hi:.1f}]"
 
 
+@pytest.mark.filterwarnings("error")
 class TestMomentOverflow:
-    """A phase whose moments overflow ends the run as a divergence, at its step."""
+    """A phase whose moments overflow ends the run as a divergence, at its step, with no warning."""
 
     def _model(self, f, h, n=2):
         return StateSpaceModel(
             f=VectorFunction(f, vectorized=True), h=VectorFunction(h, vectorized=True),
-            q=np.eye(n), r=np.eye(1), n=n, m=1,
+            q=np.eye(n), r=np.eye(1),
         )
 
     def test_state_prediction(self):
         model = self._model(lambda x: 1e200 * x, lambda x: x[:, 0])
         belief = GaussianBelief(np.zeros(2), np.eye(2))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError, match="state prediction"):
-                predict_state(belief, model, scheme("ckf3"), RngStream(0))
-            with pytest.raises(DivergenceError) as err:
-                run_filter(model, scheme("ckf3"), np.zeros((3, 1)), belief, RngStream(0))
+        with pytest.raises(DivergenceError, match="state prediction"):
+            predict_state(belief, model, scheme("ckf3"), RngStream(0))
+        with pytest.raises(DivergenceError) as err:
+            run_filter(model, scheme("ckf3"), np.zeros((3, 1)), belief, RngStream(0))
         assert err.value.step == 0
 
     def test_observation_prediction(self):
         model = self._model(lambda x: x, lambda x: 1e200 * x[:, 0])
         belief = GaussianBelief(np.zeros(2), np.eye(2))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError, match="observation prediction"):
-                predict_observation(belief, model, scheme("ckf3"), RngStream(0))
-            with pytest.raises(DivergenceError) as err:
-                run_filter(model, scheme("ckf3"), np.zeros((3, 1)), belief, RngStream(0))
+        with pytest.raises(DivergenceError, match="observation prediction"):
+            predict_observation(belief, model, scheme("ckf3"), RngStream(0))
+        with pytest.raises(DivergenceError) as err:
+            run_filter(model, scheme("ckf3"), np.zeros((3, 1)), belief, RngStream(0))
         assert err.value.step == 0
+
+    def test_growth_model_run(self):
+        # the first trajectory of `srcf filter-bench --n 2 --q 8 --nmc 1 --schemes ckf3`
+        growth = GrowthModel(q=8, n=2)
+        _, ys = simulate_trajectory(growth, 20, RngStream(0).substream("trajectory", 0))
+        with pytest.raises(DivergenceError) as err:
+            run_filter(growth.state_space(), scheme("ckf3"), ys, growth.init_belief(),
+                       RngStream(0).substream("filter", "ckf3", 0))
+        assert err.value.step == 5
 
 
 class TestCentredMoments:
@@ -554,7 +591,7 @@ class TestCentredMoments:
         model = StateSpaceModel(
             f=VectorFunction(lambda x: x + c, vectorized=True),
             h=VectorFunction(lambda x: c + x[:, 0], vectorized=True),
-            q=np.eye(n), r=np.eye(1), n=n, m=1,
+            q=np.eye(n), r=np.eye(1),
         )
         belief = GaussianBelief(np.full(n, c), np.eye(n))
         sch = scheme(label, n_m=1 if label.startswith("ckf") else 3)
@@ -602,7 +639,7 @@ class TestFallbackPolicy:
         model = StateSpaceModel(
             f=VectorFunction(lambda x: x, vectorized=True),
             h=VectorFunction(lambda x: (x**4).sum(axis=1), vectorized=True),
-            q=np.eye(n), r=np.eye(1), n=n, m=1,
+            q=np.eye(n), r=np.eye(1),
         )
         belief = GaussianBelief(np.zeros(n), np.eye(n))
         sch = scheme("ckf5")
@@ -634,7 +671,7 @@ class TestFallbackPolicy:
 
         model = StateSpaceModel(
             f=VectorFunction(lambda x: x, vectorized=True), h=VectorFunction(h, vectorized=True),
-            q=np.eye(n), r=np.eye(2), n=n, m=2,
+            q=np.eye(n), r=np.eye(2),
         )
         belief = GaussianBelief(np.zeros(n), np.eye(n))
         obs = predict_observation(belief, model, scheme("ckf5"), RngStream(0))
@@ -727,7 +764,7 @@ class TestPhaseScratch:
         def model(h):
             return StateSpaceModel(f=VectorFunction(lambda x: 0.9 * x, vectorized=True),
                                    h=VectorFunction(h, vectorized=True),
-                                   q=np.eye(n), r=np.eye(1), n=n, m=1)
+                                   q=np.eye(n), r=np.eye(1))
 
         ys = np.random.default_rng(26).standard_normal((8, 1)) + 10.0
         init = GaussianBelief(np.ones(n), np.eye(n))
@@ -741,7 +778,7 @@ class TestPhaseScratch:
             fn = (lambda x: x.copy(order="K")) if copy else (lambda x: x)
             return StateSpaceModel(f=VectorFunction(fn, vectorized=True),
                                    h=VectorFunction(fn, vectorized=True),
-                                   q=np.eye(n), r=np.eye(n), n=n, m=n)
+                                   q=np.eye(n), r=np.eye(n))
 
         ys = np.random.default_rng(28).standard_normal((8, n))
         init = GaussianBelief(np.zeros(n), np.eye(n))
@@ -758,8 +795,7 @@ class TestPhaseScratch:
             seen.append(x.flags.f_contiguous and np.shares_memory(x, filtering._scratch.slots[1]))
             return ssm.h.fn(x)
 
-        model = StateSpaceModel(f=ssm.f, h=VectorFunction(h, vectorized=True), q=ssm.q, r=ssm.r,
-                                n=ssm.n, m=ssm.m)
+        model = StateSpaceModel(f=ssm.f, h=VectorFunction(h, vectorized=True), q=ssm.q, r=ssm.r)
         predict_observation(init, model, sch, rng)
         assert seen == [True]
 
@@ -773,7 +809,7 @@ class TestPhaseScratch:
             return 0.5 * x
 
         inner = StateSpaceModel(f=VectorFunction(inner_f, vectorized=True), h=lambda x: x,
-                                q=np.eye(n), r=np.eye(n), n=n, m=n)
+                                q=np.eye(n), r=np.eye(n))
 
         def nested_h(x):
             layouts.append(x.flags.f_contiguous)
@@ -782,7 +818,7 @@ class TestPhaseScratch:
 
         outer = StateSpaceModel(f=VectorFunction(lambda x: x, vectorized=True),
                                 h=VectorFunction(nested_h, vectorized=True),
-                                q=np.eye(n), r=np.eye(1), n=n, m=1)
+                                q=np.eye(n), r=np.eye(1))
         predict_observation(GaussianBelief(np.ones(n), np.eye(n)), outer, sch, RngStream(33))
         assert layouts == [True, True]
 
@@ -792,8 +828,7 @@ class TestPhaseScratch:
         ssm, sch, ys, init, rng = _growth_run(10, "sif5", 5, steps=6)
 
         def model(f):
-            return StateSpaceModel(f=VectorFunction(f, vectorized=True), h=ssm.h, q=ssm.q, r=ssm.r,
-                                   n=ssm.n, m=ssm.m)
+            return StateSpaceModel(f=VectorFunction(f, vectorized=True), h=ssm.h, q=ssm.q, r=ssm.r)
 
         given = run_filter(model(lambda x: x), sch, ys, init, rng)
         row_major = run_filter(model(lambda x: np.ascontiguousarray(x)), sch, ys, init, rng)

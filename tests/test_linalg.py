@@ -14,7 +14,7 @@ from srcf.rng import RngStream
 def _noise_model(q=None, r=None):
     q = np.eye(1) if q is None else q
     r = np.eye(1) if r is None else r
-    return StateSpaceModel(f=lambda x: x, h=lambda x: x, q=q, r=r, n=q.shape[0], m=r.shape[0])
+    return StateSpaceModel(f=lambda x: x, h=lambda x: x, q=q, r=r)
 
 
 # every place a covariance enters, each giving what it keeps or factors; Pyy
