@@ -45,13 +45,13 @@ class TestStateSpaceModel:
         return StateSpaceModel(f=lambda x: x, h=lambda x: x[0], q=q, r=r)
 
     @pytest.mark.parametrize("q", [np.array([[1.0, 0.0, 0.0, 1.0]]), np.array([[1.0], [0.0], [0.0], [1.0]]),
-                                   np.ones(4)])
+                                   np.ones((2, 2, 1)), np.ones(4)])
     def test_misshaped_q_rejected(self, q):
-        # q holds 4 entries but is not square: no reshape is guessed
+        # q holds 4 entries but is not a square matrix: no reshape is guessed
         with pytest.raises(ValueError, match="q must be a non-empty square matrix"):
             self._model(q, np.eye(1))
 
-    @pytest.mark.parametrize("r", [np.ones(1), np.ones((1, 2))])
+    @pytest.mark.parametrize("r", [np.ones(1), np.zeros((0, 0)), np.ones((1, 2))])
     def test_misshaped_r_rejected(self, r):
         with pytest.raises(ValueError, match="r must be a non-empty square matrix"):
             self._model(np.eye(2), r)
