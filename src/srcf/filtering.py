@@ -19,6 +19,8 @@ from .integrate import (
     IntegrandError,
     VectorFunction,
     _as_vector_function,
+    _check_integrand,
+    _draw,
     _evaluate,
     sigma_points,
 )
@@ -110,12 +112,13 @@ class _PhaseScratch(threading.local):
     column-major arrays (each column contiguous), the layout the rule layer
     writes points in and along which the moment reduction runs.  Slot 0
     holds the sigma points of the state prediction and, once the model
-    values no longer need them, the weighted copy of the centred values;
-    slot 1 holds the centred values (f(x) - mean, or the joint [x, h(x)] of
-    the observation prediction, whose first columns are its sigma points,
-    centred in place).  Fresh (points, n) arrays on every phase are large
-    enough that their pages go back to the system when freed and fault in
-    again on the next phase; reused buffers avoid that.  The weighted copy
+    values no longer need them, the weighted copy of the centred values
+    (in the observation prediction, only of the m columns of h(x), in its
+    first m columns); slot 1 holds the centred values (f(x) - mean, or the
+    joint [x, h(x)] of the observation prediction, whose first columns are
+    its sigma points, centred in place).  Fresh (points, n) arrays on every
+    phase are large enough that their pages go back to the system when
+    freed and fault in again on the next phase; reused buffers avoid that.  The weighted copy
     reuses the points' slot because a third resident buffer raised the peak
     memory above that of fresh arrays.  The arrays are valid until the
     thread's next phase, so nothing a phase returns may alias one.  A phase
@@ -146,21 +149,34 @@ _scratch = _PhaseScratch()
 
 
 def _centred_moments(
-    vals: np.ndarray, w: np.ndarray, dev: np.ndarray, wdev: np.ndarray
+    vals: np.ndarray, k: int, x: np.ndarray, w: np.ndarray, dev: np.ndarray, wdev: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted mean and centred Gram matrix sum_p w_p (v_p - mean)(v_p - mean)^T.
+    """Weighted mean of the columns of ``vals`` and their centred cross-moment with the trailing k.
 
-    With weights summing to one this equals E[v v^T] - mean mean^T, but
-    does not cancel two large numbers when the mean dwarfs the spread.  The
-    deviations go to ``dev`` (which may be ``vals`` itself) and their
-    weighted copy to ``wdev``, which may hold the sigma points that
-    ``vals`` was computed from; both have the shape of ``vals``.  With
-    column-major arrays every pass runs along one contiguous column.
+    Returns the mean and the (c, k) matrix sum_p w_p (v_p - mean)(t_p -
+    mean_t)^T, with c the column count of ``vals`` and t_p the trailing k
+    entries of row p, whose trailing (k, k) block is symmetrized.  With k =
+    c it is the centred Gram matrix; with k < c it costs O(P c k) instead of
+    O(P c^2).  With weights summing to one this equals E[v t^T] - mean
+    mean_t^T, but does not cancel two large numbers when the mean dwarfs the
+    spread.
+
+    The trailing k columns hold the integrand's values at the points ``x``:
+    a non-finite mean of them is traced to its point by `_check_integrand`
+    before anything is overwritten.  The deviations go to ``dev`` (which may
+    be ``vals`` itself) and the weighted copy of their trailing k columns to
+    the first k columns of ``wdev``, which may hold ``x``; both have the
+    shape of ``vals``.  With column-major arrays every pass runs along one
+    contiguous column.
     """
     mean = w @ vals
+    _check_integrand(mean[-k:], vals[:, -k:], x)
     np.subtract(vals, mean, out=dev)
-    np.multiply(dev, w[:, None], out=wdev)
-    return mean, symmetrize(wdev.T @ dev)
+    wtail = wdev[:, :k]
+    np.multiply(dev[:, -k:], w[:, None], out=wtail)
+    cross = wtail.T @ dev
+    cross[:, -k:] = symmetrize(cross[:, -k:])
+    return mean, cross.T
 
 
 def _belief(step: str, mean: np.ndarray, cov: np.ndarray) -> GaussianBelief:
@@ -174,16 +190,20 @@ def _belief(step: str, mean: np.ndarray, cov: np.ndarray) -> GaussianBelief:
 def _observation_estimate_usable(joint: np.ndarray) -> bool:
     """Decide whether the joint (state, observation) moment estimate is real.
 
-    ``joint`` is the centred weighted Gram matrix [[Sxx, Pxy], [Pxy^T,
-    Pyy - R]] of the stacked points [x, h(x)]: PSD by construction whenever
-    the weights are non-negative (the bound that keeps the Kalman gain
-    contractive).  Rules with negative weights can break it on violently
-    nonlinear observations -- e.g. a cross covariance orders of magnitude
-    beyond what the observation variance supports -- and applying the usual
-    gain to such an estimate throws the state far from any plausible value.
-    A meaningfully indefinite joint therefore marks the whole observation
-    estimate as integration noise.  The check runs in a diagonally balanced
-    scale because Pyy can dwarf Sxx by tens of orders of magnitude.
+    ``joint`` is [[L L^T, Pxy], [Pxy^T, Pyy - R]], with L the square root
+    the points were drawn under and Pxy, Pyy - R the weighted centred
+    estimates.  The drawn [x, h(x)] Gram matrix, whose state block every
+    rule that is exact at degree 2 reproduces as L L^T up to rounding, is
+    PSD by construction whenever the weights are non-negative (the bound
+    that keeps the Kalman gain contractive), so the phase calls this check
+    only for a draw with a negative weight.  Rules with negative weights can
+    break it on violently nonlinear observations -- e.g. a cross covariance
+    orders of magnitude beyond what the observation variance supports --
+    and applying the usual gain to such an estimate throws the state far
+    from any plausible value.  A meaningfully indefinite joint therefore
+    marks the whole observation estimate as integration noise.  The check
+    runs in a diagonally balanced scale because Pyy can dwarf L L^T by tens
+    of orders of magnitude.
     """
     d = np.sqrt(np.maximum(np.abs(np.diag(joint)), np.finfo(np.float64).tiny))
     w = np.linalg.eigvalsh(joint / np.outer(d, d))
@@ -209,7 +229,7 @@ def predict_state(
         with _scratch.pair(rows, model.n) as (points, dev):
             x, w = sigma_points(prior, scheme, rng, out=points)
             fx = _model_values(model.f, x, model.n, "transition function")
-            mean, cov = _centred_moments(fx, w, dev, points)
+            mean, cov = _centred_moments(fx, model.n, x, w, dev, points)
         return _belief("state prediction", mean, cov + model.q)
 
 
@@ -221,34 +241,45 @@ def predict_observation(
 ) -> PredictedObservation:
     """Observation update moments on a fresh set of rule draws.
 
-    h is evaluated once on the sigma points x, and the centred weighted Gram
-    matrix of the stacked points [x, h(x)] gives Sxx, Pxy and Pyy - R at
-    once: y_hat = E[h], Pxy = E[(x - x_bar)(h - y_hat)^T] with x_bar the
-    drawn mean of x (equal to the predicted mean for polynomial-exact
-    rules), Pyy = E[(h - y_hat)(h - y_hat)^T] + R.
+    h is evaluated once on the sigma points x, and the centred weighted
+    cross-moment of the stacked points [x, h(x)] with h(x) gives Pxy and
+    Pyy - R at once: y_hat = E[h], Pxy = E[(x - x_bar)(h - y_hat)^T] with
+    x_bar the drawn mean of x, Pyy = E[(h - y_hat)(h - y_hat)^T] + R.  That
+    is O(P (n + m) m) work for P points, against O(P (n + m)^2) for the
+    whole (n + m) x (n + m) Gram matrix, whose state block no output needs.
+    Pxy does not depend on where x is centred, because sum_p w_p (h_p -
+    y_hat) = 0: centring at x_bar, or at the predicted mean, changes it only
+    by rounding, and x_bar keeps the sum well conditioned.
 
-    When that joint matrix is meaningfully indefinite -- impossible for a
-    true covariance, so a sign the rule's integration noise has swamped the
-    observation moments -- the observation is marked uninformative by
-    zeroing Pxy alone, and Pyy stays the raw estimate + R.  `correct` then
-    returns the prediction: with zero gain when Pyy factors, by its own skip
-    when it does not.  Valid estimates pass through bitwise untouched.
+    For a draw with a negative weight, the joint [[L L^T, Pxy], [Pxy^T, Pyy
+    - R]] is checked by `_observation_estimate_usable`, L being the square
+    root the points were drawn under.  When it is meaningfully indefinite --
+    impossible for a true covariance, so a sign the rule's integration noise
+    has swamped the observation moments -- the observation is marked
+    uninformative by zeroing Pxy alone, and Pyy stays the raw estimate + R.
+    `correct` then returns the prediction: with zero gain when Pyy factors,
+    by its own skip when it does not.  Valid estimates pass through bitwise
+    untouched.
     """
     if pred.dim != model.n:
         raise ValueError(f"belief dimension {pred.dim} != model state dimension {model.n}")
-    n = model.n
+    n, m = model.n, model.m
     rows = scheme.n_m * points_per_draw(scheme, n)
     # a non-finite value below ends in a DivergenceError or an IntegrandError, not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        with _scratch.pair(rows, n + model.m) as (wdev, xh):
+        with _scratch.pair(rows, n + m) as (wdev, xh):
             # the rule layer writes x into the first n columns of [x, h(x)]
-            x, w = sigma_points(pred, scheme, rng, out=xh[:, :n])
-            xh[:, n:] = _model_values(model.h, x, model.m, "observation function")
-            mean, joint = _centred_moments(xh, w, xh, wdev)
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(joint))):
+            x, w, root = _draw(pred, scheme, rng, out=xh[:, :n])
+            xh[:, n:] = _model_values(model.h, x, m, "observation function")
+            mean, cross = _centred_moments(xh, m, x, w, xh, wdev)
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cross))):
             raise DivergenceError("observation prediction produced non-finite moments")
-        pxy = joint[:n, n:] if _observation_estimate_usable(joint) else np.zeros((n, model.m))
-        return PredictedObservation(y_hat=mean[n:], pxy=pxy, pyy=joint[n:, n:] + model.r)
+        pxy, pyy = cross[:n], cross[n:]
+        if np.any(w < 0) and not _observation_estimate_usable(
+            np.block([[root @ root.T, pxy], [pxy.T, pyy]])
+        ):
+            pxy = np.zeros((n, m))
+        return PredictedObservation(y_hat=mean[n:], pxy=pxy, pyy=pyy + model.r)
 
 
 def correct(

@@ -81,7 +81,13 @@ def _as_vector_function(f) -> VectorFunction:
 
 
 def _evaluate(f: VectorFunction, x: np.ndarray) -> np.ndarray:
-    """Evaluate f on a (P, n) point stack, returning (P, ...) float output."""
+    """Evaluate f on a (P, n) point stack, returning (P, ...) float output.
+
+    The values are not scanned for finiteness here: every estimate is a
+    weighted sum of them, which is non-finite whenever one of them is (a
+    zero weight still gives 0 * inf = NaN), so `_check_integrand` runs on
+    that sum and scans the values only when it is not finite.
+    """
     if f.vectorized:
         vals = np.asarray(f.fn(x), dtype=np.float64)
         if vals.shape[:1] != x.shape[:1]:
@@ -89,8 +95,21 @@ def _evaluate(f: VectorFunction, x: np.ndarray) -> np.ndarray:
                 f"vectorized integrand returned leading shape {vals.shape}, "
                 f"expected first axis {x.shape[0]}"
             )
-    else:
-        vals = np.stack([np.asarray(f.fn(p), dtype=np.float64) for p in x])
+        return vals
+    return np.stack([np.asarray(f.fn(p), dtype=np.float64) for p in x])
+
+
+def _check_integrand(est: np.ndarray, vals: np.ndarray, x: np.ndarray) -> None:
+    """Trace a non-finite weighted sum ``est`` of ``vals`` to the integrand.
+
+    ``vals`` holds the integrand's values at the points ``x``, one row per
+    point.  If ``est`` is finite, so is every value.  Otherwise the values
+    are scanned, and the first point with a non-finite value raises an
+    `IntegrandError` that carries its index and a copy of the point; finite
+    values whose sum overflowed raise nothing, and the caller decides.
+    """
+    if np.all(np.isfinite(est)):
+        return
     bad = ~np.isfinite(vals)
     if bad.any():
         idx = int(np.argwhere(bad.reshape(vals.shape[0], -1).any(axis=1))[0, 0])
@@ -99,7 +118,22 @@ def _evaluate(f: VectorFunction, x: np.ndarray) -> np.ndarray:
             point=x[idx].copy(),
             index=idx,
         )
-    return vals
+
+
+def _draw(
+    belief: GaussianBelief,
+    scheme: IntegrationScheme,
+    rng: RngStream | Sequence[RngStream],
+    out: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`sigma_points` plus the square root L of the covariance that the points were drawn under."""
+    n = belief.dim
+    root = spd_sqrt(belief.cov)
+    points, weights = draw_rule_batch(
+        scheme, n, scheme.n_m, rng, mean=belief.mean, root=root, out=out
+    )
+    w = weights.reshape(-1, scheme.n_m * weights.shape[1]) / scheme.n_m
+    return points.reshape(-1, n), (w[0] if isinstance(rng, RngStream) else w), root
 
 
 def sigma_points(
@@ -135,13 +169,8 @@ def sigma_points(
     w : (n_m * P,) array, or (S, n_m * P) for a sequence
         Each row sums to one, so E[f(x)] is estimated by ``w @ f(x)``.
     """
-    n = belief.dim
-    root = spd_sqrt(belief.cov)
-    points, weights = draw_rule_batch(
-        scheme, n, scheme.n_m, rng, mean=belief.mean, root=root, out=out
-    )
-    w = weights.reshape(-1, scheme.n_m * weights.shape[1]) / scheme.n_m
-    return points.reshape(-1, n), (w[0] if isinstance(rng, RngStream) else w)
+    x, w, _ = _draw(belief, scheme, rng, out)
+    return x, w
 
 
 def expect(
@@ -155,6 +184,9 @@ def expect(
     With a sequence of S streams, s is evaluated once on the points of every
     stream and the S estimates, one per stream, are returned.
 
+    A non-finite value of s raises an `IntegrandError` naming its point;
+    finite values whose weighted sum overflows give an infinite estimate.
+
     Returns
     -------
     array with the output shape of s, or (S, *output shape) for a sequence.
@@ -163,6 +195,9 @@ def expect(
     vals = _evaluate(_as_vector_function(s), x)
     rows = w.reshape(-1, w.shape[-1])
     blocks = vals.reshape(rows.shape + (-1,))
-    # one weighted sum per stream, each the same product a lone stream takes
-    est = np.stack([row @ block for row, block in zip(rows, blocks)])
+    # one weighted sum per stream, each the same product a lone stream takes; a
+    # non-finite value (0 * inf, say) ends in the IntegrandError below, not a numpy warning
+    with np.errstate(invalid="ignore"):
+        est = np.stack([row @ block for row, block in zip(rows, blocks)])
+    _check_integrand(est, vals, x)
     return est.reshape(w.shape[:-1] + vals.shape[1:])

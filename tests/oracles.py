@@ -2,8 +2,9 @@
 
 Everything here is deliberately brute force and self-contained: a rejection
 sampler for the fifth-degree radial-pair density, a textbook Kalman filter,
-Gaussian monomial moments from double factorials, and quadrature for normal
-power moments.  None of it shares code with the package under test.
+Gaussian monomial moments from double factorials, quadrature for normal
+power moments, and the full joint moment matrix of an observation update
+with its usability check.  None of it shares code with the package under test.
 """
 
 from __future__ import annotations
@@ -75,6 +76,31 @@ def kalman_filter(A, C, Q, R, x0, P0, ys):
         P = P - K @ C @ P
         out.append((x.copy(), P.copy()))
     return out
+
+
+def joint_moments(x, hx, w):
+    """Weighted mean and centred Gram matrix of the stacked points [x, h(x)].
+
+    The whole (n + m) x (n + m) matrix [[Sxx, Pxy], [Pxy^T, Pyy - R]], with
+    Sxx the drawn state covariance, from the points x (P, n), the values
+    hx (P, m) and the weights w (P,).
+    """
+    xh = np.hstack([x, np.reshape(hx, (x.shape[0], -1))])
+    mean = w @ xh
+    dev = xh - mean
+    gram = (dev * w[:, None]).T @ dev
+    return mean, 0.5 * (gram + gram.T)
+
+
+def joint_usable(joint) -> bool:
+    """The eigenvalue test of a joint moment matrix: PSD to 1e-8 of its largest eigenvalue.
+
+    Runs on the matrix scaled to a unit diagonal, so an observation variance
+    far above the state variances does not hide an indefinite state block.
+    """
+    d = np.sqrt(np.maximum(np.abs(np.diag(joint)), np.finfo(np.float64).tiny))
+    eig = np.linalg.eigvalsh(joint / np.outer(d, d))
+    return bool(eig.min() >= -1e-8 * max(eig.max(), 1.0))
 
 
 def monomial_moment(alpha) -> float:

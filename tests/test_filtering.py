@@ -23,7 +23,7 @@ from srcf.linalg import spd_sqrt, symmetrize
 from srcf.rng import RngStream
 from srcf.rules import IntegrationScheme
 
-from oracles import kalman_filter
+from oracles import joint_moments, joint_usable, kalman_filter
 
 CUBATURE_LABELS = ["ckf3", "ckf5", "sif3", "sif5", "qsif5"]
 
@@ -646,8 +646,8 @@ class TestFallbackPolicy:
         obs = predict_observation(belief, model, sch, RngStream(0))
         x, w = sigma_points(belief, sch, RngStream(0))
         xh = np.asfortranarray(np.hstack([x, model.h.fn(x)[:, None]]))
-        _, joint = filtering._centred_moments(xh, w, np.empty_like(xh), np.empty_like(xh))
-        raw_pxy, raw_pyy = joint[:n, n:], joint[n:, n:]
+        _, cross = filtering._centred_moments(xh, 1, x, w, np.empty_like(xh), np.empty_like(xh))
+        raw_pxy, raw_pyy = cross[:n], cross[n:]
         if n == 10:
             assert raw_pyy[0, 0] < 0
             assert not np.any(obs.pxy)
@@ -680,6 +680,120 @@ class TestFallbackPolicy:
         post = correct(belief, obs, np.array([3.0, 4.0]))
         np.testing.assert_array_equal(post.mean, belief.mean)
         np.testing.assert_array_equal(post.cov, belief.cov)
+
+
+def _observation_model(n, m):
+    """A smooth observation with m components of an n-dimensional state."""
+
+    def h(x):
+        first = np.sin(x[:, 0]) + 0.1 * (x * x).sum(axis=1)
+        return first if m == 1 else np.column_stack([first, x[:, 0] * x[:, 1] + x[:, -1]])
+
+    return StateSpaceModel(
+        f=VectorFunction(lambda x: x, vectorized=True), h=VectorFunction(h, vectorized=True),
+        q=np.eye(n), r=np.eye(m),
+    )
+
+
+class TestObservationCrossMoments:
+    """The observation update forms Pxy and Pyy only; the full joint Gram matrix is the oracle."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("n", [2, 6, 10, 20])
+    @pytest.mark.parametrize("label", CUBATURE_LABELS + ["mc"])
+    def test_blocks_match_the_full_joint(self, label, n, m):
+        model = _observation_model(n, m)
+        gen = np.random.default_rng(n * 10 + m)
+        a = gen.standard_normal((n, n))
+        belief = GaussianBelief(0.5 * gen.standard_normal(n), a @ a.T / n + 0.5 * np.eye(n))
+        sch = scheme(label, n_m=1 if label.startswith("ckf") else 3)
+        stream = RngStream(31, stream_id=label)
+        obs = predict_observation(belief, model, sch, stream.substream(n, m))
+        x, w = sigma_points(belief, sch, stream.substream(n, m))
+        mean, joint = joint_moments(x, model.h.fn(x), w)
+        assert np.any(obs.pxy)
+        scale = np.sqrt(np.diag(joint))
+        np.testing.assert_allclose(obs.y_hat, mean[n:], rtol=1e-13, atol=1e-13 * scale[n:].max())
+        np.testing.assert_allclose(obs.pxy, joint[:n, n:], rtol=0,
+                                   atol=1e-12 * np.outer(scale[:n], scale[n:]).max())
+        np.testing.assert_allclose(obs.pyy, joint[n:, n:] + model.r, rtol=0,
+                                   atol=1e-12 * scale[n:].max() ** 2)
+
+    @pytest.mark.parametrize("label,n_m", [("sif3", 50), ("sif5", 10), ("qsif5", 10), ("ckf5", 1)])
+    @pytest.mark.parametrize("q", [2, 4])
+    @pytest.mark.parametrize("n", [10, 20])
+    def test_zero_gain_decision_matches_the_full_joint_check(self, n, q, label, n_m):
+        # the check runs on L L^T where the drawn joint has the drawn Sxx, and
+        # only where a weight is negative; at every step of a growth-model run
+        # its decision must be the one the drawn joint gives
+        model = GrowthModel(q=q, n=n)
+        ssm = model.state_space()
+        sch = scheme(label, n_m=n_m)
+        _, ys = simulate_trajectory(model, 40, RngStream(33).substream("trajectory", n, q))
+        stream = RngStream(34, stream_id=label).substream(n, q)
+        belief = model.init_belief()
+        rejected = 0
+        for k, y in enumerate(ys):
+            pred = predict_state(belief, ssm, sch, stream.substream(k, 0))
+            obs = predict_observation(pred, ssm, sch, stream.substream(k, 1))
+            x, w = sigma_points(pred, sch, stream.substream(k, 1))
+            usable = joint_usable(joint_moments(x, model.observe(x), w)[1])
+            assert bool(np.any(obs.pxy)) == usable, f"step {k}"
+            rejected += not usable
+            belief = correct(pred, obs, y)
+        if label == "sif5":
+            assert rejected > 0  # the runs exercise both decisions
+
+    @pytest.mark.parametrize("label", ["ckf3", "mc"])
+    def test_non_negative_weights_skip_the_check(self, monkeypatch, label):
+        def fail(joint):
+            raise AssertionError("checked a joint drawn with non-negative weights")
+
+        monkeypatch.setattr(filtering, "_observation_estimate_usable", fail)
+        model = GrowthModel(q=4, n=10)
+        _, ys = simulate_trajectory(model, 10, RngStream(35).substream("trajectory"))
+        run_filter(model.state_space(), scheme(label, mc=500), ys, model.init_belief(),
+                   RngStream(36, stream_id=label))
+
+    def test_check_reads_the_root_the_points_were_drawn_under(self):
+        # the belief's covariance is indefinite, so its root is eigen-clamped:
+        # the ckf5 points (negative vertex weights at n = 10) reproduce the
+        # clamped L L^T, and the estimate is usable, while a joint with the
+        # belief's covariance as its state block would not be
+        n = 10
+        model = StateSpaceModel(
+            f=VectorFunction(lambda x: x, vectorized=True),
+            h=VectorFunction(lambda x: x[:, 0], vectorized=True),
+            q=np.eye(n), r=np.eye(1),
+        )
+        belief = GaussianBelief(np.zeros(n), np.diag([1.0] * (n - 1) + [-0.05]))
+        sch = scheme("ckf5")
+        obs = predict_observation(belief, model, sch, RngStream(37))
+        x, w = sigma_points(belief, sch, RngStream(37))
+        assert w.min() < 0
+        assert np.any(obs.pxy)
+        root = spd_sqrt(belief.cov)
+        pyy = obs.pyy - model.r
+        assert joint_usable(np.block([[root @ root.T, obs.pxy], [obs.pxy.T, pyy]]))
+        assert not joint_usable(np.block([[belief.cov, obs.pxy], [obs.pxy.T, pyy]]))
+
+    def test_mc_cross_covariance_does_not_depend_on_where_x_is_centred(self):
+        # sum_p w_p (h_p - y_hat) = 0, so centring x at its drawn mean or at the
+        # belief's mean gives the same Pxy up to rounding
+        n = 6
+        model = _observation_model(n, 2)
+        belief = GaussianBelief(np.linspace(-1.0, 1.0, n), np.eye(n) + 0.3 * np.ones((n, n)))
+        sch = scheme("mc", mc=400)
+        obs = predict_observation(belief, model, sch, RngStream(38))
+        x, w = sigma_points(belief, sch, RngStream(38))
+        hx = model.h.fn(x)
+        dh = hx - w @ hx
+        at_drawn_mean = (w[:, None] * (x - w @ x)).T @ dh
+        at_belief_mean = (w[:, None] * (x - belief.mean)).T @ dh
+        assert np.abs(w @ x - belief.mean).max() > 1e-2  # the two centres differ
+        scale = np.abs(w[:, None] * (x - belief.mean)).T @ np.abs(dh)
+        np.testing.assert_array_less(np.abs(at_drawn_mean - at_belief_mean), 1e-13 * scale)
+        np.testing.assert_allclose(obs.pxy, at_drawn_mean, rtol=0, atol=1e-13 * scale.max())
 
 
 def _assert_same_posteriors(a, b):

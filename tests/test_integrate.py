@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from srcf.filtering import DivergenceError, StateSpaceModel, predict_observation, predict_state
 from srcf.integrate import (
     GaussianBelief,
     IntegrandError,
@@ -278,6 +279,84 @@ class TestDiagnostics:
         belief = GaussianBelief(np.zeros(1), np.eye(1))
         with pytest.raises(ValueError):
             expect(lambda x: x, belief, scheme("sif5"), RngStream(0))
+
+
+def _integrate(caller, fn, belief, sch, rng):
+    """Take fn's weighted sum through `expect` or as the model function of one filter phase."""
+    if caller.startswith("expect"):
+        return expect(fn, belief, sch, rng)
+    n, identity = belief.dim, VectorFunction(lambda x: x, vectorized=True)
+    f, h = (fn, identity) if caller == "predict_state" else (identity, fn)
+    phase = predict_state if caller == "predict_state" else predict_observation
+    return phase(belief, StateSpaceModel(f=f, h=h, q=np.eye(n), r=np.eye(n)), sch, rng)
+
+
+class TestNonFiniteIntegrand:
+    """The weighted sum finds a non-finite value; the scan that names its point runs only then."""
+
+    CALLERS = ["expect", "expect over 3 streams", "predict_state", "predict_observation"]
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("caller", CALLERS)
+    def test_integrand_error_names_the_point(self, caller, where, value):
+        belief, sch = random_belief(3, 41), scheme("sif5", n_m=2)
+
+        def rng():
+            if caller == "expect over 3 streams":
+                return [RngStream(42).substream(r) for r in range(3)]
+            return RngStream(42)
+
+        x, _ = sigma_points(belief, sch, rng())
+        index = {"first": 0, "middle": x.shape[0] // 2, "last": x.shape[0] - 1}[where]
+
+        def fn(x):
+            out = 2.0 * x
+            out[index] = value
+            return out
+
+        with pytest.raises(IntegrandError) as err:
+            _integrate(caller, VectorFunction(fn, vectorized=True), belief, sch, rng())
+        assert err.value.index == index
+        np.testing.assert_array_equal(err.value.point, x[index])
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_value_at_a_zero_weight_point_is_found(self, value):
+        # ckf5 at n = 7 gives its vertex points weight 0: 0 * inf and 0 * nan are NaN
+        n, sch = 7, scheme("ckf5")
+        belief = GaussianBelief(np.zeros(n), np.eye(n))
+        x, w = sigma_points(belief, sch, RngStream(43))
+        index = int(np.flatnonzero(w == 0)[0])
+
+        def fn(x):
+            out = x.sum(axis=1)
+            out[index] = value
+            return out
+
+        with pytest.raises(IntegrandError) as err:
+            expect(VectorFunction(fn, vectorized=True), belief, sch, RngStream(43))
+        assert err.value.index == index
+        np.testing.assert_array_equal(err.value.point, x[index])
+
+    @pytest.mark.parametrize("caller", CALLERS)
+    def test_overflowing_sum_of_finite_values(self, caller):
+        # ckf5 at n = 10 has negative weights, and sum |w| > 1.2: values of
+        # 1.5e308 signed like their weights sum past the largest float; that
+        # is an infinite estimate in expect and a divergence in a phase
+        n, sch = 10, scheme("ckf5")
+        belief = GaussianBelief(np.zeros(n), np.eye(n))
+        _, w = sigma_points(belief, sch, RngStream(44))
+        sign = np.sign(w)[:, None]
+        huge = VectorFunction(lambda x: 1.5e308 * np.tile(sign, (len(x) // len(w), x.shape[1])),
+                              vectorized=True)
+        streams = ([RngStream(44).substream(r) for r in range(3)] if caller == "expect over 3 streams"
+                   else RngStream(44))
+        if caller.startswith("expect"):
+            with np.errstate(over="ignore"):
+                assert np.all(_integrate(caller, huge, belief, sch, streams) == np.inf)
+        else:
+            with pytest.raises(DivergenceError, match=caller.split("_")[1] + " prediction"):
+                _integrate(caller, huge, belief, sch, streams)
 
 
 class TestBeliefValidation:
