@@ -22,7 +22,6 @@ from .integrate import (
     _check_integrand,
     _draw,
     _evaluate,
-    sigma_points,
 )
 from .linalg import checked_covariance, diagonal_jitter, symmetrize
 from .rng import RngStream
@@ -106,46 +105,56 @@ def _model_values(fn: VectorFunction, x: np.ndarray, out_dim: int, name: str) ->
 
 
 class _PhaseScratch(threading.local):
-    """Grow-only float64 buffers that one thread's filter phases reuse.
+    """The grow-only float64 buffer of one thread's filter phases, and whether a phase holds it.
 
-    ``with _scratch.pair(rows, cols) as (a, b):`` yields two (rows, cols)
-    column-major arrays (each column contiguous), the layout the rule layer
-    writes points in and along which the moment reduction runs.  Slot 0
-    holds the sigma points of the state prediction and, once the model
-    values no longer need them, the weighted copy of the centred values
-    (in the observation prediction, only of the m columns of h(x), in its
-    first m columns); slot 1 holds the centred values (f(x) - mean, or the
-    joint [x, h(x)] of the observation prediction, whose first columns are
-    its sigma points, centred in place).  Fresh (points, n) arrays on every
-    phase are large enough that their pages go back to the system when
-    freed and fault in again on the next phase; reused buffers avoid that.  The weighted copy
-    reuses the points' slot because a third resident buffer raised the peak
-    memory above that of fresh arrays.  The arrays are valid until the
-    thread's next phase, so nothing a phase returns may alias one.  A phase
-    entered while another phase of the same thread holds the buffers (a
-    model function that runs a filter phase itself) gets two fresh arrays
-    instead.
+    Fresh (points, n) arrays on every phase are large enough that their
+    pages go back to the system when freed and fault in again on the next
+    phase; `_phase` reuses ``buffer`` instead, as a column-major (points,
+    cols) array that each phase splits into column blocks.  It is valid
+    until the thread's next phase, so nothing a phase returns may alias it.
+    A phase entered while another phase of the thread holds it (a model
+    function that runs a filter phase itself) gets a fresh array.
     """
 
     def __init__(self):
         self.busy = False
-        self.slots = [np.empty(0), np.empty(0)]
-
-    @contextlib.contextmanager
-    def pair(self, rows: int, cols: int):
-        if self.busy:
-            yield np.empty((rows, cols), order="F"), np.empty((rows, cols), order="F")
-            return
-        size = rows * cols
-        self.slots = [slot if slot.size >= size else np.empty(size) for slot in self.slots]
-        self.busy = True
-        try:
-            yield tuple(slot[:size].reshape((rows, cols), order="F") for slot in self.slots)
-        finally:
-            self.busy = False
+        self.buffer = np.empty(0)
 
 
 _scratch = _PhaseScratch()
+
+
+@contextlib.contextmanager
+def _phase(
+    belief: GaussianBelief,
+    model: StateSpaceModel,
+    scheme: IntegrationScheme,
+    rng: RngStream,
+    role: str,
+    cols: int,
+):
+    """The frame of a prediction phase: yields (buffer, x, w, L) for one `_draw` under ``belief``.
+
+    ``role`` names the belief in the dimension check's message.  The points
+    x are the first n columns of the (P, cols) buffer, and the body runs
+    under ``np.errstate(over="ignore", invalid="ignore")``: a non-finite
+    value ends in a `DivergenceError` or an `IntegrandError`, not a numpy
+    warning.  The buffer is given back however the body ends.
+    """
+    if belief.dim != model.n:
+        raise ValueError(f"{role} dimension {belief.dim} != model state dimension {model.n}")
+    size = scheme.n_m * points_per_draw(scheme, model.n) * cols
+    nested = _scratch.busy
+    if not nested and _scratch.buffer.size < size:
+        _scratch.buffer = np.empty(size)
+    flat = np.empty(size) if nested else _scratch.buffer[:size]
+    buf = flat.reshape((-1, cols), order="F")
+    _scratch.busy = True
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield (buf, *_draw(belief, scheme, rng, out=buf[:, : model.n]))
+    finally:
+        _scratch.busy = nested
 
 
 def _centred_moments(
@@ -165,16 +174,14 @@ def _centred_moments(
     a non-finite mean of them is traced to its point by `_check_integrand`
     before anything is overwritten.  The deviations go to ``dev`` (which may
     be ``vals`` itself) and the weighted copy of their trailing k columns to
-    the first k columns of ``wdev``, which may hold ``x``; both have the
-    shape of ``vals``.  With column-major arrays every pass runs along one
-    contiguous column.
+    the (P, k) ``wdev``, which may hold ``x``.  With column-major arrays
+    every pass runs along one contiguous column.
     """
     mean = w @ vals
     _check_integrand(mean[-k:], vals[:, -k:], x)
     np.subtract(vals, mean, out=dev)
-    wtail = wdev[:, :k]
-    np.multiply(dev[:, -k:], w[:, None], out=wtail)
-    cross = wtail.T @ dev
+    np.multiply(dev[:, -k:], w[:, None], out=wdev)
+    cross = wdev.T @ dev
     cross[:, -k:] = symmetrize(cross[:, -k:])
     return mean, cross.T
 
@@ -221,15 +228,11 @@ def predict_state(
     mean = E[f(x)], cov = E[(f(x) - mean)(f(x) - mean)^T] + Q, both taken
     from one evaluation of f on one set of sigma points.
     """
-    if prior.dim != model.n:
-        raise ValueError(f"prior dimension {prior.dim} != model state dimension {model.n}")
-    rows = scheme.n_m * points_per_draw(scheme, model.n)
-    # a non-finite value below ends in a DivergenceError or an IntegrandError, not a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        with _scratch.pair(rows, model.n) as (points, dev):
-            x, w = sigma_points(prior, scheme, rng, out=points)
-            fx = _model_values(model.f, x, model.n, "transition function")
-            mean, cov = _centred_moments(fx, model.n, x, w, dev, points)
+    n = model.n
+    # buffer: [points | f(x) - mean], the weighted copy written over the points
+    with _phase(prior, model, scheme, rng, "prior", 2 * n) as (buf, x, w, _):
+        fx = _model_values(model.f, x, n, "transition function")
+        mean, cov = _centred_moments(fx, n, x, w, buf[:, n:], buf[:, :n])
         return _belief("state prediction", mean, cov + model.q)
 
 
@@ -261,17 +264,12 @@ def predict_observation(
     by its own skip when it does not.  Valid estimates pass through bitwise
     untouched.
     """
-    if pred.dim != model.n:
-        raise ValueError(f"belief dimension {pred.dim} != model state dimension {model.n}")
     n, m = model.n, model.m
-    rows = scheme.n_m * points_per_draw(scheme, n)
-    # a non-finite value below ends in a DivergenceError or an IntegrandError, not a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        with _scratch.pair(rows, n + m) as (wdev, xh):
-            # the rule layer writes x into the first n columns of [x, h(x)]
-            x, w, root = _draw(pred, scheme, rng, out=xh[:, :n])
-            xh[:, n:] = _model_values(model.h, x, m, "observation function")
-            mean, cross = _centred_moments(xh, m, x, w, xh, wdev)
+    with _phase(pred, model, scheme, rng, "belief", n + 2 * m) as (buf, x, w, root):
+        # buffer: [x | h(x) | weighted copy of h(x) - y_hat], [x, h(x)] centred in place
+        xh = buf[:, : n + m]
+        xh[:, n:] = _model_values(model.h, x, m, "observation function")
+        mean, cross = _centred_moments(xh, m, x, w, xh, buf[:, n + m :])
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cross))):
             raise DivergenceError("observation prediction produced non-finite moments")
         pxy, pyy = cross[:n], cross[n:]
@@ -328,7 +326,7 @@ def correct(
                 pass
         if factor is None:
             # indefinite innovation covariance: skip the measurement
-            return _belief("correction", pred.mean.copy(), pred.cov)
+            return _belief("correction", pred.mean, pred.cov)
         # Pyy K^T = Pxy^T as two solves on the lower factor: L z = Pxy^T, L^T K^T = z
         gain = np.linalg.solve(factor.T, np.linalg.solve(factor, pxy.T)).T
         if not np.all(np.isfinite(gain)):

@@ -42,8 +42,9 @@ class IntegrandError(ValueError):
 class GaussianBelief:
     """A Gaussian state density N(mean, cov).
 
-    The covariance must pass `checked_covariance` and is symmetrized on
-    construction; it may be indefinite by a numerical margin (conditioning
+    The belief owns copies of its mean and covariance, taken on
+    construction.  The covariance must pass `checked_covariance` and is
+    symmetrized; it may be indefinite by a numerical margin (conditioning
     happens when a square root is taken).
     """
 
@@ -51,7 +52,7 @@ class GaussianBelief:
     cov: np.ndarray
 
     def __post_init__(self):
-        self.mean = np.atleast_1d(np.asarray(self.mean, dtype=np.float64))
+        self.mean = np.atleast_1d(np.array(self.mean, dtype=np.float64))
         if self.mean.ndim != 1:
             raise ValueError(f"mean must be a vector, got shape {self.mean.shape}")
         if not np.all(np.isfinite(self.mean)):
@@ -126,7 +127,10 @@ def _draw(
     rng: RngStream | Sequence[RngStream],
     out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`sigma_points` plus the square root L of the covariance that the points were drawn under."""
+    """`sigma_points` plus the root L of the covariance the points were drawn under.
+
+    x is written into ``out`` when given, as `draw_rule_batch` writes it.
+    """
     n = belief.dim
     root = spd_sqrt(belief.cov)
     points, weights = draw_rule_batch(
@@ -140,7 +144,6 @@ def sigma_points(
     belief: GaussianBelief,
     scheme: IntegrationScheme,
     rng: RngStream | Sequence[RngStream],
-    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The state-space points and weights of one integral under the belief.
 
@@ -156,20 +159,15 @@ def sigma_points(
     weights in row s of w.  Each block equals what that stream alone gives,
     bit for bit.
 
-    ``out``, when given, is the float64 array of x's shape that x is
-    written into, in any memory layout (the filter phases pass a reused
-    buffer); `draw_rule_batch` rejects any other dtype or shape.  By
-    default x is a fresh array.
-
     Returns
     -------
     x : (n_m * P, n) array, or (S * n_m * P, n) for a sequence
-        Column-major by default: each coordinate of all points is
-        contiguous.  With ``out`` it is a view of ``out``.
+        A fresh column-major array: each coordinate of all points is
+        contiguous.
     w : (n_m * P,) array, or (S, n_m * P) for a sequence
         Each row sums to one, so E[f(x)] is estimated by ``w @ f(x)``.
     """
-    x, w, _ = _draw(belief, scheme, rng, out)
+    x, w, _ = _draw(belief, scheme, rng)
     return x, w
 
 

@@ -362,7 +362,8 @@ def draw_rule_batch(
     wider array, say); any other dtype or shape is a `ValueError`.  By
     default the points go to a fresh column-major array, in which each
     coordinate of all points is contiguous.  The returned points are a view
-    of that array.  ``mean`` must have shape (n,) and ``root`` shape (n, n).
+    of that array.  ``mean`` and ``root`` are read as float64 arrays (a
+    list will do) and must have shape (n,) and (n, n).
 
     Returns
     -------
@@ -382,12 +383,12 @@ def draw_rule_batch(
     streams = as_streams(rng)
     total = len(streams) * size
     kind = scheme.kind
-    mean = np.zeros(n) if mean is None else mean
-    root = np.eye(n) if root is None else root
-    if np.shape(mean) != (n,):
-        raise ValueError(f"mean must have shape ({n},), got shape {np.shape(mean)}")
-    if np.shape(root) != (n, n):
-        raise ValueError(f"root must have shape ({n}, {n}), got shape {np.shape(root)}")
+    mean = np.zeros(n) if mean is None else np.asarray(mean, dtype=np.float64)
+    root = np.eye(n) if root is None else np.asarray(root, dtype=np.float64)
+    if mean.shape != (n,):
+        raise ValueError(f"mean must have shape ({n},), got shape {mean.shape}")
+    if root.shape != (n, n):
+        raise ValueError(f"root must have shape ({n}, {n}), got shape {root.shape}")
     rows = total * points_per_draw(scheme, n)
     if out is None:
         out = np.empty((rows, n), order="F")

@@ -18,7 +18,7 @@ from srcf.filtering import (
     predict_state,
     run_filter,
 )
-from srcf.integrate import GaussianBelief, VectorFunction, sigma_points
+from srcf.integrate import GaussianBelief, IntegrandError, VectorFunction, sigma_points
 from srcf.linalg import spd_sqrt, symmetrize
 from srcf.rng import RngStream
 from srcf.rules import IntegrationScheme
@@ -646,7 +646,7 @@ class TestFallbackPolicy:
         obs = predict_observation(belief, model, sch, RngStream(0))
         x, w = sigma_points(belief, sch, RngStream(0))
         xh = np.asfortranarray(np.hstack([x, model.h.fn(x)[:, None]]))
-        _, cross = filtering._centred_moments(xh, 1, x, w, np.empty_like(xh), np.empty_like(xh))
+        _, cross = filtering._centred_moments(xh, 1, x, w, np.empty_like(xh), np.empty((len(x), 1)))
         raw_pxy, raw_pyy = cross[:n], cross[n:]
         if n == 10:
             assert raw_pyy[0, 0] < 0
@@ -816,7 +816,7 @@ class TestPhaseScratch:
     def test_results_survive_later_phases(self):
         def assert_own_memory(*arrays):
             for arr in arrays:
-                assert not any(np.shares_memory(arr, slot) for slot in filtering._scratch.slots)
+                assert not np.shares_memory(arr, filtering._scratch.buffer)
 
         small, sch, _, init, rng = _growth_run(4, "sif5", 3)
         pred = predict_state(init, small, sch, rng.substream(0, 0))
@@ -827,7 +827,7 @@ class TestPhaseScratch:
         copies = [arr.copy() for arr in kept]
         predict_observation(predict_state(pred, small, sch, rng.substream(1, 0)), small, sch,
                             rng.substream(1, 1))
-        large, sch20, _, init20, _ = _growth_run(20, "sif5", 10)  # grows every slot
+        large, sch20, _, init20, _ = _growth_run(20, "sif5", 10)  # grows the buffer
         predict_observation(predict_state(init20, large, sch20, rng.substream(2, 0)), large, sch20,
                             rng.substream(2, 1))
         for arr, copy in zip(kept, copies):
@@ -900,13 +900,57 @@ class TestPhaseScratch:
         _assert_same_posteriors(run_filter(model(False), sch, ys, init, RngStream(29)),
                                 run_filter(model(True), sch, ys, init, RngStream(29)))
 
+    @pytest.mark.parametrize("failure", ["nan from f", "nan from h", "overflow in h"])
+    def test_a_failing_phase_gives_the_buffer_back(self, failure):
+        # after the phase raises, the next phase writes its points into the same
+        # buffer (a phase that found it busy would get a fresh array), and the
+        # caller's numpy error settings are as they were
+        n, sch = 3, scheme("sif5", n_m=2)
+        belief = GaussianBelief(np.zeros(n), np.eye(n))
+        in_buffer = []
+
+        def recorded(fn):
+            def wrapped(x):
+                in_buffer.append(np.shares_memory(x, filtering._scratch.buffer))
+                return fn(x)
+            return VectorFunction(wrapped, vectorized=True)
+
+        def model(f, h):
+            return StateSpaceModel(f=recorded(f), h=recorded(h), q=np.eye(n), r=np.eye(1))
+
+        def both_phases(ssm, seed):
+            pred = predict_state(belief, ssm, sch, RngStream(seed).substream(0))
+            return predict_observation(pred, ssm, sch, RngStream(seed).substream(1))
+
+        plain = model(lambda x: x, lambda x: x[:, 0])
+        phase, error, failing = {
+            "nan from f": (predict_state, IntegrandError,
+                           model(lambda x: np.full_like(x, np.nan), lambda x: x[:, 0])),
+            "nan from h": (predict_observation, IntegrandError,
+                           model(lambda x: x, lambda x: np.full(len(x), np.nan))),
+            "overflow in h": (predict_observation, DivergenceError,
+                              model(lambda x: x, lambda x: 1e200 * x[:, 0])),
+        }[failure]
+        both_phases(plain, 40)  # sizes the buffer for both phases
+        buffer = filtering._scratch.buffer
+        with np.errstate(over="raise", invalid="raise"):
+            settings = np.geterr()
+            with pytest.raises(error):
+                phase(belief, failing, sch, RngStream(41))
+            assert np.geterr() == settings
+            in_buffer.clear()
+            both_phases(plain, 42)
+            assert np.geterr() == settings
+        assert filtering._scratch.buffer is buffer
+        assert in_buffer == [True, True]
+
     def test_observation_points_are_written_beside_their_values(self):
         # the rule layer writes x straight into the joint [x, h(x)] buffer
         ssm, sch, _, init, rng = _growth_run(5, "sif5", 3)
         seen = []
 
         def h(x):
-            seen.append(x.flags.f_contiguous and np.shares_memory(x, filtering._scratch.slots[1]))
+            seen.append(x.flags.f_contiguous and np.shares_memory(x, filtering._scratch.buffer))
             return ssm.h.fn(x)
 
         model = StateSpaceModel(f=ssm.f, h=VectorFunction(h, vectorized=True), q=ssm.q, r=ssm.r)

@@ -6,6 +6,7 @@ from srcf.integrate import (
     GaussianBelief,
     IntegrandError,
     VectorFunction,
+    _draw,
     expect,
     sigma_points,
 )
@@ -121,7 +122,8 @@ class TestStateSpaceAssembly:
         np.testing.assert_array_equal(w, weights.reshape(-1) / sch.n_m)
 
     def test_points_go_into_the_given_buffer(self):
-        # a row-major array, a column-major one and a column slice of a wider array
+        # a row-major array, a column-major one and a column slice of a wider
+        # array, through the draw the filter phases run
         n = 4
         belief = random_belief(n, 28)
         for label in ALL_LABELS:
@@ -130,7 +132,7 @@ class TestStateSpaceAssembly:
             expected = sigma_points(belief, sch, RngStream(29))[0]
             for out in (np.empty((rows, n)), np.empty((rows, n), order="F"),
                         np.empty((rows, n + 3), order="F")[:, 1:n + 1]):
-                x, _ = sigma_points(belief, sch, RngStream(29), out=out)
+                x, _, _ = _draw(belief, sch, RngStream(29), out=out)
                 assert np.shares_memory(x, out) and np.array_equal(x, out)
                 assert x.tobytes() == expected.tobytes()
 
@@ -367,6 +369,13 @@ class TestBeliefValidation:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             GaussianBelief(np.array([np.nan]), np.eye(1))
+
+    def test_belief_owns_its_arrays(self):
+        mean, cov = np.array([1.0, 2.0]), np.array([[2.0, 0.5], [0.5, 1.0]])
+        b = GaussianBelief(mean, cov)
+        mean[0], cov[0, 0] = 99.0, 99.0
+        np.testing.assert_array_equal(b.mean, [1.0, 2.0])
+        np.testing.assert_array_equal(b.cov, [[2.0, 0.5], [0.5, 1.0]])
 
     def test_scalar_cov_promoted(self):
         b = GaussianBelief(np.zeros(1), 4.0)

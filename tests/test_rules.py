@@ -379,6 +379,14 @@ class TestPointValues:
             draw_rule_batch(sch, n, 2, RngStream(57), root=np.eye(2))
 
     @pytest.mark.parametrize("label", ALL_LABELS)
+    def test_list_mean_and_root_give_the_array_result(self, label):
+        sch, mean, root = scheme(label, mc=50), [1.0, 2.0], [[1.0, 0.0], [0.5, 2.0]]
+        got = draw_rule_batch(sch, 2, 2, RngStream(59), mean=mean, root=root)
+        want = draw_rule_batch(sch, 2, 2, RngStream(59), mean=np.array(mean), root=np.array(root))
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("label", ALL_LABELS)
     def test_wrong_out_rejected(self, label):
         sch, n = scheme(label, mc=50), 3
         rows = 2 * points_per_draw(sch, n)
