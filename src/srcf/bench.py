@@ -15,7 +15,7 @@ import numpy as np
 
 from .filtering import DivergenceError, StateSpaceModel, run_filter
 from .integrate import GaussianBelief, VectorFunction, expect
-from .rng import RngStream
+from .rng import RngStream, _integer
 from .rules import IntegrationScheme, points_per_draw, reported_eval_count
 
 __all__ = [
@@ -206,9 +206,9 @@ class GrowthModel:
     decay: float = field(default=0.9, init=False)
 
     def __post_init__(self):
-        if self.q < 1:
+        if _integer("q", self.q) < 1:
             raise ValueError("q must be >= 1")
-        if self.n < 1:
+        if _integer("n", self.n) < 1:
             raise ValueError("n must be >= 1")
 
     def transition(self, x: np.ndarray) -> np.ndarray:

@@ -8,7 +8,6 @@ SIF3/SIF5/QSIF5/MC), and the correction step is the standard linear update.
 from __future__ import annotations
 
 import contextlib
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -62,10 +61,11 @@ class StateSpaceModel:
 
     The points passed to ``f`` and ``h`` (the (P, n) stack of a vectorized
     function, or each (n,) row of it for a plain callable) are column-major,
-    so each coordinate of all points is contiguous, and live in a buffer
-    the filter reuses on its next phase: they are valid only during the
-    call, so a function that keeps them must keep a copy.  Returning them,
-    or any array computed from them in any layout, is fine.
+    so each coordinate of all points is contiguous.  The phase writes over
+    them once the function returns (the weighted copy in the state
+    prediction, the centring of [x, h(x)] in the observation prediction),
+    so a function that keeps them must keep a copy.  Returning them, or any
+    array computed from them in any layout, is fine.
     """
 
     f: Callable | VectorFunction
@@ -95,33 +95,12 @@ class PredictedObservation:
 def _model_values(fn: VectorFunction, x: np.ndarray, out_dim: int, name: str) -> np.ndarray:
     """Evaluate a model function on a (P, n) point stack, normalized to (P, out_dim)."""
     vals = _evaluate(fn, x)
+    shape = vals.shape[1:]
     if vals.ndim == 1:
         vals = vals[:, None]
     if vals.ndim != 2 or vals.shape[1] != out_dim:
-        raise ValueError(
-            f"{name} must map to {out_dim} components, got output shape {vals.shape[1:]}"
-        )
+        raise ValueError(f"{name} must map to {out_dim} components, got output shape {shape}")
     return vals
-
-
-class _PhaseScratch(threading.local):
-    """The grow-only float64 buffer of one thread's filter phases, and whether a phase holds it.
-
-    Fresh (points, n) arrays on every phase are large enough that their
-    pages go back to the system when freed and fault in again on the next
-    phase; `_phase` reuses ``buffer`` instead, as a column-major (points,
-    cols) array that each phase splits into column blocks.  It is valid
-    until the thread's next phase, so nothing a phase returns may alias it.
-    A phase entered while another phase of the thread holds it (a model
-    function that runs a filter phase itself) gets a fresh array.
-    """
-
-    def __init__(self):
-        self.busy = False
-        self.buffer = np.empty(0)
-
-
-_scratch = _PhaseScratch()
 
 
 @contextlib.contextmanager
@@ -135,26 +114,18 @@ def _phase(
 ):
     """The frame of a prediction phase: yields (buffer, x, w, L) for one `_draw` under ``belief``.
 
-    ``role`` names the belief in the dimension check's message.  The points
-    x are the first n columns of the (P, cols) buffer, and the body runs
+    ``role`` names the belief in the dimension check's message.  The buffer
+    is the phase's own column-major (P, cols) array, which the phase splits
+    into column blocks; the points x are its first n columns.  The body runs
     under ``np.errstate(over="ignore", invalid="ignore")``: a non-finite
     value ends in a `DivergenceError` or an `IntegrandError`, not a numpy
-    warning.  The buffer is given back however the body ends.
+    warning.
     """
     if belief.dim != model.n:
         raise ValueError(f"{role} dimension {belief.dim} != model state dimension {model.n}")
-    size = scheme.n_m * points_per_draw(scheme, model.n) * cols
-    nested = _scratch.busy
-    if not nested and _scratch.buffer.size < size:
-        _scratch.buffer = np.empty(size)
-    flat = np.empty(size) if nested else _scratch.buffer[:size]
-    buf = flat.reshape((-1, cols), order="F")
-    _scratch.busy = True
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            yield (buf, *_draw(belief, scheme, rng, out=buf[:, : model.n]))
-    finally:
-        _scratch.busy = nested
+    buf = np.empty((scheme.n_m * points_per_draw(scheme, model.n), cols), order="F")
+    with np.errstate(over="ignore", invalid="ignore"):
+        yield (buf, *_draw(belief, scheme, rng, out=buf[:, : model.n]))
 
 
 def _centred_moments(

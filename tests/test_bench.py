@@ -206,6 +206,23 @@ class TestGrowthModel:
         with pytest.raises(ValueError):
             GrowthModel(q=1, n=0)
 
+    @pytest.mark.parametrize("field, kwargs", [
+        # q = 1.5 would observe the non-polynomial ((1 + x^T x)^2)^1.5
+        pytest.param("q", {"q": 1.5, "n": 3}, id="q float"),
+        pytest.param("q", {"q": True, "n": 3}, id="q bool"),
+        # n = 2.0 would fail later, inside numpy
+        pytest.param("n", {"q": 1, "n": 2.0}, id="n float"),
+        pytest.param("n", {"q": 1, "n": True}, id="n bool"),
+    ])
+    def test_non_integer_parameters_rejected(self, field, kwargs):
+        with pytest.raises(TypeError, match=f"^{field} must be an int, got "):
+            GrowthModel(**kwargs)
+
+    def test_numpy_integer_parameters_accepted(self):
+        model = GrowthModel(q=np.int64(2), n=np.int32(3))
+        assert model.state_space().n == 3
+        assert model.observe(np.array([1.0, 2.0, 0.0])) == 36.0**2
+
 
 class TestSimulateTrajectory:
     def test_shapes(self):

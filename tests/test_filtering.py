@@ -1,6 +1,8 @@
+import gc
 import platform
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from srcf.filtering import (
 from srcf.integrate import GaussianBelief, IntegrandError, VectorFunction, sigma_points
 from srcf.linalg import spd_sqrt, symmetrize
 from srcf.rng import RngStream
-from srcf.rules import IntegrationScheme
+from srcf.rules import IntegrationScheme, points_per_draw
 
 from oracles import joint_moments, joint_usable, kalman_filter
 
@@ -116,12 +118,33 @@ class TestPredictState:
         with pytest.raises(ValueError, match=r"^prior dimension 2 != model state dimension 3$"):
             predict_state(prior, model, scheme("ckf3"), RngStream(4))
 
+    def test_transition_of_the_wrong_width_rejected(self):
+        model = StateSpaceModel(f=VectorFunction(lambda x: x[:, :2], vectorized=True),
+                                h=lambda x: x[0], q=np.eye(3), r=np.eye(1))
+        prior = GaussianBelief(np.zeros(3), np.eye(3))
+        with pytest.raises(ValueError, match=r"^transition function must map to 3 components, "
+                                             r"got output shape \(2,\)$"):
+            predict_state(prior, model, scheme("ckf3"), RngStream(4))
+
 
 class TestPredictObservation:
     def test_belief_of_another_size_than_q_rejected(self):
         model = StateSpaceModel(f=lambda x: x, h=lambda x: x[0], q=np.eye(3), r=np.eye(1))
         pred = GaussianBelief(np.zeros(2), np.eye(2))
         with pytest.raises(ValueError, match=r"^belief dimension 2 != model state dimension 3$"):
+            predict_observation(pred, model, scheme("ckf3"), RngStream(5))
+
+    @pytest.mark.parametrize("h, shape", [
+        # one scalar per point: the message names the shape h returned, not (1,)
+        pytest.param(lambda x: x[:, 0], r"\(\)", id="scalar per point"),
+        pytest.param(lambda x: x, r"\(3,\)", id="width 3"),
+    ])
+    def test_observation_of_the_wrong_width_rejected(self, h, shape):
+        model = StateSpaceModel(f=lambda x: x, h=VectorFunction(h, vectorized=True),
+                                q=np.eye(3), r=np.eye(2))
+        pred = GaussianBelief(np.zeros(3), np.eye(3))
+        with pytest.raises(ValueError, match=r"^observation function must map to 2 components, "
+                                             rf"got output shape {shape}$"):
             predict_observation(pred, model, scheme("ckf3"), RngStream(5))
 
     def test_identity_observation(self):
@@ -810,28 +833,53 @@ def _growth_run(n, label, n_m, steps=4):
     return model.state_space(), scheme(label, n_m=n_m), ys, model.init_belief(), RngStream(24, stream_id=n)
 
 
+def _recording(ssm, stacks):
+    """``ssm`` with f and h that append the array holding each point stack they receive to ``stacks``."""
+    def recorded(fn):
+        def wrapped(x):
+            stacks.append(x if x.base is None else x.base)
+            return fn(x)
+        return VectorFunction(wrapped, vectorized=True)
+
+    return StateSpaceModel(f=recorded(ssm.f.fn), h=recorded(ssm.h.fn), q=ssm.q, r=ssm.r)
+
+
 class TestPhaseScratch:
-    """The filter phases reuse per-thread point buffers; results must not notice."""
+    """Each filter phase writes its points and moments into its own array; results must not alias it."""
 
     def test_results_survive_later_phases(self):
-        def assert_own_memory(*arrays):
-            for arr in arrays:
-                assert not np.shares_memory(arr, filtering._scratch.buffer)
-
-        small, sch, _, init, rng = _growth_run(4, "sif5", 3)
+        ssm, sch, _, init, rng = _growth_run(4, "sif5", 3)
+        stacks = []
+        small = _recording(ssm, stacks)
         pred = predict_state(init, small, sch, rng.substream(0, 0))
-        assert_own_memory(pred.mean, pred.cov)
         obs = predict_observation(pred, small, sch, rng.substream(0, 1))
-        assert_own_memory(obs.y_hat, obs.pxy, obs.pyy)
         kept = [pred.mean, pred.cov, obs.y_hat, obs.pxy, obs.pyy]
+        assert len(stacks) == 2
+        for arr in kept:
+            for stack in stacks:
+                assert not np.shares_memory(arr, stack)
         copies = [arr.copy() for arr in kept]
         predict_observation(predict_state(pred, small, sch, rng.substream(1, 0)), small, sch,
                             rng.substream(1, 1))
-        large, sch20, _, init20, _ = _growth_run(20, "sif5", 10)  # grows the buffer
+        large, sch20, _, init20, _ = _growth_run(20, "sif5", 10)
         predict_observation(predict_state(init20, large, sch20, rng.substream(2, 0)), large, sch20,
                             rng.substream(2, 1))
         for arr, copy in zip(kept, copies):
             np.testing.assert_array_equal(arr, copy)
+
+    def test_phases_keep_no_array_alive(self):
+        # once a step is done, no array that held its points is kept anywhere
+        ssm, sch, ys, init, rng = _growth_run(6, "sif5", 3)
+        stacks = []
+        model = _recording(ssm, stacks)
+        pred = predict_state(init, model, sch, rng.substream(0, 0))
+        obs = predict_observation(pred, model, sch, rng.substream(0, 1))
+        correct(pred, obs, ys[0])
+        refs = [weakref.ref(stack) for stack in stacks]
+        stacks.clear()
+        gc.collect()
+        assert len(refs) == 2
+        assert all(ref() is None for ref in refs)
 
     def test_concurrent_runs_match_sequential(self):
         cases = [_growth_run(20, "sif5", 10), _growth_run(10, "sif3", 50)] * 2  # more threads than CPUs
@@ -902,21 +950,14 @@ class TestPhaseScratch:
 
     @pytest.mark.parametrize("failure", ["nan from f", "nan from h", "overflow in h"])
     def test_a_failing_phase_gives_the_buffer_back(self, failure):
-        # after the phase raises, the next phase writes its points into the same
-        # buffer (a phase that found it busy would get a fresh array), and the
-        # caller's numpy error settings are as they were
+        # after the phase raises, the caller's numpy error settings are as they
+        # were, and the next phases run as usual
         n, sch = 3, scheme("sif5", n_m=2)
         belief = GaussianBelief(np.zeros(n), np.eye(n))
-        in_buffer = []
-
-        def recorded(fn):
-            def wrapped(x):
-                in_buffer.append(np.shares_memory(x, filtering._scratch.buffer))
-                return fn(x)
-            return VectorFunction(wrapped, vectorized=True)
 
         def model(f, h):
-            return StateSpaceModel(f=recorded(f), h=recorded(h), q=np.eye(n), r=np.eye(1))
+            return StateSpaceModel(f=VectorFunction(f, vectorized=True),
+                                   h=VectorFunction(h, vectorized=True), q=np.eye(n), r=np.eye(1))
 
         def both_phases(ssm, seed):
             pred = predict_state(belief, ssm, sch, RngStream(seed).substream(0))
@@ -931,31 +972,29 @@ class TestPhaseScratch:
             "overflow in h": (predict_observation, DivergenceError,
                               model(lambda x: x, lambda x: 1e200 * x[:, 0])),
         }[failure]
-        both_phases(plain, 40)  # sizes the buffer for both phases
-        buffer = filtering._scratch.buffer
         with np.errstate(over="raise", invalid="raise"):
             settings = np.geterr()
             with pytest.raises(error):
                 phase(belief, failing, sch, RngStream(41))
             assert np.geterr() == settings
-            in_buffer.clear()
             both_phases(plain, 42)
             assert np.geterr() == settings
-        assert filtering._scratch.buffer is buffer
-        assert in_buffer == [True, True]
 
     def test_observation_points_are_written_beside_their_values(self):
-        # the rule layer writes x straight into the joint [x, h(x)] buffer
+        # the rule layer writes x straight into the first n columns of the
+        # phase's (n_m P, n + 2m) [x | h(x) | weighted copy] array
         ssm, sch, _, init, rng = _growth_run(5, "sif5", 3)
         seen = []
 
         def h(x):
-            seen.append(x.flags.f_contiguous and np.shares_memory(x, filtering._scratch.buffer))
+            seen.append((x.flags.f_contiguous, x.base.shape,
+                         x.__array_interface__["data"][0] == x.base.__array_interface__["data"][0]))
             return ssm.h.fn(x)
 
         model = StateSpaceModel(f=ssm.f, h=VectorFunction(h, vectorized=True), q=ssm.q, r=ssm.r)
         predict_observation(init, model, sch, rng)
-        assert seen == [True]
+        points = sch.n_m * points_per_draw(sch, 5)
+        assert seen == [(True, (points, 5 + 2), True)]
 
     def test_nested_phase_points_are_column_major(self):
         n = 3
@@ -997,22 +1036,32 @@ class TestPhaseScratch:
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="page-fault counts reflect glibc's allocator")
     def test_sif5_steps_do_not_fault_pages(self):
-        # fresh (points, n) arrays on every phase let glibc return their pages to the
-        # system and fault them in again on the next phase: about 3000 minor faults
-        # per step at n = 20
-        import resource
+        # each phase allocates one (points, cols) array, about 3 MB at n = 20;
+        # once glibc has freed such an array it raises its mmap threshold above
+        # that size, so later arrays reuse heap pages that stay faulted in
+        faults = _minor_faults_per_step(*_growth_run(20, "sif5", 10, steps=23))
+        assert faults < 50, f"{faults:.0f} minor page faults per sif5 step at n = 20"
 
-        ssm, sch, ys, belief, rng = _growth_run(20, "sif5", 10, steps=23)
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="page-fault counts reflect glibc's allocator")
+    def test_sif3_steps_do_not_fault_pages(self):
+        # filter-study-n10's heaviest phase: 1050 points of 2n columns
+        faults = _minor_faults_per_step(*_growth_run(10, "sif3", 50, steps=23))
+        assert faults < 50, f"{faults:.0f} minor page faults per sif3 step at n = 10"
 
-        def step(k, belief):
-            pred = predict_state(belief, ssm, sch, rng.substream(k, 0))
-            obs = predict_observation(pred, ssm, sch, rng.substream(k, 1))
-            return correct(pred, obs, ys[k])
 
-        for k in range(3):
-            belief = step(k, belief)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        for k in range(3, 23):
-            belief = step(k, belief)
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-        assert faults / 20 < 50, f"{faults / 20:.0f} minor page faults per sif5 step at n = 20"
+def _minor_faults_per_step(ssm, sch, ys, belief, rng, warm_up=3):
+    """Minor page faults per filter step over the steps of ``ys`` after the first ``warm_up``."""
+    import resource
+
+    def step(k, belief):
+        pred = predict_state(belief, ssm, sch, rng.substream(k, 0))
+        obs = predict_observation(pred, ssm, sch, rng.substream(k, 1))
+        return correct(pred, obs, ys[k])
+
+    for k in range(warm_up):
+        belief = step(k, belief)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for k in range(warm_up, len(ys)):
+        belief = step(k, belief)
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / (len(ys) - warm_up)
