@@ -24,7 +24,7 @@ from .integrate import (
 )
 from .linalg import checked_covariance, diagonal_jitter, symmetrize
 from .rng import RngStream
-from .rules import IntegrationScheme, points_per_draw
+from .rules import IntegrationScheme, RuleDraw, _sampled_doubles, points_per_draw, sample_rule
 
 __all__ = [
     "StateSpaceModel",
@@ -35,6 +35,11 @@ __all__ = [
     "correct",
     "run_filter",
 ]
+
+# The float64 values of sampled rule variates that `run_filter` holds at
+# once: it samples the draws of as many steps ahead as fit, at least one.
+# A whole run at once is barely faster and holds every step's rotations.
+_BLOCK_DOUBLES = 16384
 
 
 class DivergenceError(RuntimeError):
@@ -108,7 +113,7 @@ def _phase(
     belief: GaussianBelief,
     model: StateSpaceModel,
     scheme: IntegrationScheme,
-    rng: RngStream,
+    rng: RngStream | RuleDraw,
     role: str,
     cols: int,
 ):
@@ -192,12 +197,15 @@ def predict_state(
     prior: GaussianBelief,
     model: StateSpaceModel,
     scheme: IntegrationScheme,
-    rng: RngStream,
+    rng: RngStream | RuleDraw,
 ) -> GaussianBelief:
     """Time update: propagate the belief through the transition function.
 
     mean = E[f(x)], cov = E[(f(x) - mean)(f(x) - mean)^T] + Q, both taken
-    from one evaluation of f on one set of sigma points.
+    from one evaluation of f on one set of sigma points.  ``rng`` is the
+    phase's stream, or the `RuleDraw` of ``scheme.n_m`` draws that
+    `sample_rule` sampled from it ahead, which gives the same belief bit for
+    bit.
     """
     n = model.n
     # buffer: [points | f(x) - mean], the weighted copy written over the points
@@ -211,9 +219,12 @@ def predict_observation(
     pred: GaussianBelief,
     model: StateSpaceModel,
     scheme: IntegrationScheme,
-    rng: RngStream,
+    rng: RngStream | RuleDraw,
 ) -> PredictedObservation:
     """Observation update moments on a fresh set of rule draws.
+
+    ``rng`` is the phase's stream, or its `RuleDraw` sampled ahead, as for
+    `predict_state`.
 
     h is evaluated once on the sigma points x, and the centred weighted
     cross-moment of the stacked points [x, h(x)] with h(x) gives Pxy and
@@ -241,13 +252,17 @@ def predict_observation(
         xh = buf[:, : n + m]
         xh[:, n:] = _model_values(model.h, x, m, "observation function")
         mean, cross = _centred_moments(xh, m, x, w, xh, buf[:, n + m :])
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cross))):
+        if not (np.isfinite(mean).all() and np.isfinite(cross).all()):
             raise DivergenceError("observation prediction produced non-finite moments")
         pxy, pyy = cross[:n], cross[n:]
-        if np.any(w < 0) and not _observation_estimate_usable(
-            np.block([[root @ root.T, pxy], [pxy.T, pyy]])
-        ):
-            pxy = np.zeros((n, m))
+        if np.any(w < 0):
+            joint = np.empty((n + m, n + m))
+            joint[:n, :n] = root @ root.T
+            joint[:n, n:] = pxy
+            joint[n:, :n] = pxy.T
+            joint[n:, n:] = pyy
+            if not _observation_estimate_usable(joint):
+                pxy = np.zeros((n, m))
         return PredictedObservation(y_hat=mean[n:], pxy=pxy, pyy=pyy + model.r)
 
 
@@ -278,11 +293,11 @@ def correct(
     m = y_hat.size
     if not y.shape == y_hat.shape == (m,):
         raise ValueError(f"observation {y.shape} and y_hat {y_hat.shape} must have shape ({m},)")
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise ValueError("observation contains NaN or Inf entries")
     if pxy.shape != (pred.dim, m):
         raise ValueError(f"pxy must have shape ({pred.dim}, {m}), got shape {pxy.shape}")
-    if not all(np.all(np.isfinite(a)) for a in (y_hat, pxy, obs.pyy)):
+    if not all(np.isfinite(a).all() for a in (y_hat, pxy, obs.pyy)):
         raise DivergenceError("observation moments are not finite")
     # an overflow below ends in a DivergenceError or the Pyy guard's ValueError, not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -300,7 +315,7 @@ def correct(
             return _belief("correction", pred.mean, pred.cov)
         # Pyy K^T = Pxy^T as two solves on the lower factor: L z = Pxy^T, L^T K^T = z
         gain = np.linalg.solve(factor.T, np.linalg.solve(factor, pxy.T)).T
-        if not np.all(np.isfinite(gain)):
+        if not np.isfinite(gain).all():
             raise DivergenceError("gain solve produced non-finite values")
         mean = pred.mean + gain @ (y - y_hat)
         # symmetrized here: the difference can cancel, and the belief's tolerance is relative to it
@@ -320,18 +335,32 @@ def run_filter(
     (model, scheme, observations, stream): step k draws from substreams
     (k, 0) and (k, 1) for the two prediction phases.  A divergence aborts the
     run with the failing step index; earlier posteriors are not returned.
+
+    The rule variates of a block of steps, all that `sample_rule` draws from
+    their substreams (radii, rotations, mc's normals), are sampled in one
+    call before the block runs, and each phase places its share under its
+    belief.  A block holds at most `_BLOCK_DOUBLES` sampled values, and at
+    least one step.  Each stream's variates are those its phase would draw
+    itself, so the posteriors equal stepping `predict_state`,
+    `predict_observation` and `correct` with the substreams bit for bit.
     """
     observations = np.asarray(observations, dtype=np.float64)
     if observations.ndim == 1:
         observations = observations[:, None]
     if observations.shape[0] == 0:
         raise ValueError("observation sequence must be nonempty")
+    steps, n, n_m = observations.shape[0], model.n, scheme.n_m
+    block = _block_steps(scheme, n)
     posteriors: list[GaussianBelief] = []
     belief = init
-    for k in range(observations.shape[0]):
+    for k in range(steps):
+        if k % block == 0:
+            ahead = range(k, min(k + block, steps))
+            draws = sample_rule(scheme, n, n_m, [rng.substream(i, j) for i in ahead for j in (0, 1)])
+        first = 2 * n_m * (k % block)
         try:
-            pred = predict_state(belief, model, scheme, rng.substream(k, 0))
-            obs = predict_observation(pred, model, scheme, rng.substream(k, 1))
+            pred = predict_state(belief, model, scheme, draws.draws(first, first + n_m))
+            obs = predict_observation(pred, model, scheme, draws.draws(first + n_m, first + 2 * n_m))
             belief = correct(pred, obs, observations[k])
         except DivergenceError as err:
             if err.step is None:
@@ -341,3 +370,9 @@ def run_filter(
             raise DivergenceError(f"integrand failure: {err}", step=k) from err
         posteriors.append(belief)
     return posteriors
+
+
+def _block_steps(scheme: IntegrationScheme, n: int) -> int:
+    """The steps whose rule variates `run_filter` samples in one call."""
+    per_step = 2 * scheme.n_m * max(_sampled_doubles(scheme, n), 1)
+    return max(_BLOCK_DOUBLES // per_step, 1)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .linalg import checked_covariance, spd_sqrt
 from .rng import RngStream
-from .rules import IntegrationScheme, draw_rule_batch
+from .rules import IntegrationScheme, RuleDraw, draw_rule_batch
 
 __all__ = [
     "GaussianBelief",
@@ -55,7 +55,7 @@ class GaussianBelief:
         self.mean = np.atleast_1d(np.array(self.mean, dtype=np.float64))
         if self.mean.ndim != 1:
             raise ValueError(f"mean must be a vector, got shape {self.mean.shape}")
-        if not np.all(np.isfinite(self.mean)):
+        if not np.isfinite(self.mean).all():
             raise ValueError("mean contains NaN or Inf entries")
         self.cov = checked_covariance(self.cov, "cov", self.mean.shape[0])
 
@@ -109,7 +109,7 @@ def _check_integrand(est: np.ndarray, vals: np.ndarray, x: np.ndarray) -> None:
     `IntegrandError` that carries its index and a copy of the point; finite
     values whose sum overflowed raise nothing, and the caller decides.
     """
-    if np.all(np.isfinite(est)):
+    if np.isfinite(est).all():
         return
     bad = ~np.isfinite(vals)
     if bad.any():
@@ -124,12 +124,14 @@ def _check_integrand(est: np.ndarray, vals: np.ndarray, x: np.ndarray) -> None:
 def _draw(
     belief: GaussianBelief,
     scheme: IntegrationScheme,
-    rng: RngStream | Sequence[RngStream],
+    rng: RngStream | Sequence[RngStream] | RuleDraw,
     out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`sigma_points` plus the root L of the covariance the points were drawn under.
 
-    x is written into ``out`` when given, as `draw_rule_batch` writes it.
+    ``rng`` may also be one stream's `RuleDraw` of ``scheme.n_m`` draws,
+    which is placed as the stream's own draw would be.  x is written into
+    ``out`` when given, as `draw_rule_batch` writes it.
     """
     n = belief.dim
     root = spd_sqrt(belief.cov)
@@ -137,7 +139,7 @@ def _draw(
         scheme, n, scheme.n_m, rng, mean=belief.mean, root=root, out=out
     )
     w = weights.reshape(-1, scheme.n_m * weights.shape[1]) / scheme.n_m
-    return points.reshape(-1, n), (w[0] if isinstance(rng, RngStream) else w), root
+    return points.reshape(-1, n), (w[0] if isinstance(rng, (RngStream, RuleDraw)) else w), root
 
 
 def sigma_points(

@@ -6,7 +6,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .rng import RngStream, as_streams, standard_normal_stack
+from .rng import RngStream, _integer, as_streams, standard_normal_stack
 
 __all__ = ["spd_sqrt", "haar_orthogonal_batch", "symmetrize", "checked_covariance", "diagonal_jitter"]
 
@@ -34,12 +34,16 @@ def checked_covariance(a, name: str, dim: int | None = None) -> np.ndarray:
     if not (a.ndim == 2 and a.shape[0] == a.shape[1] >= 1) or dim not in (None, a.shape[0]):
         expected = f"have shape ({dim}, {dim})" if dim else "be a non-empty square matrix"
         raise ValueError(f"{name} must {expected}, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains NaN or Inf entries")
-    asym = np.abs(a - a.T).max()
-    if asym > 1e-8 * max(1.0, np.abs(a).max()):
+    # symmetrize(a) is the sum of the halves; their difference cannot overflow
+    # and is antisymmetric, so its largest entry is half the largest |a - a^T|
+    # (a Python float, so doubling near the largest float gives inf, no warning)
+    half = 0.5 * a
+    asym = 2.0 * float((half - half.T).max())
+    if asym > 1e-8 and asym > 1e-8 * np.abs(a).max():
         raise ValueError(f"{name} is not symmetric (max asymmetry {asym:.3e})")
-    return symmetrize(a)
+    return half + half.T
 
 
 def diagonal_jitter(a: np.ndarray) -> float:
@@ -94,9 +98,9 @@ def haar_orthogonal_batch(n: int, size: int, rng: RngStream | Sequence[RngStream
     -------
     (len(streams) * size, n, n) array
     """
-    if n < 1:
+    if _integer("n", n) < 1:
         raise ValueError("dimension must be >= 1")
-    if size < 1:
+    if _integer("size", size) < 1:
         raise ValueError("size must be >= 1")
     x = standard_normal_stack(as_streams(rng), size, (n, n))
     q, r = np.linalg.qr(x)

@@ -3,8 +3,10 @@
 All rules are defined in standard-normal coordinates c ~ N(0, I) and factor
 into a radial part (radii with Lagrange-interpolation weights) and a
 spherical part (a degree-5 simplex surface rule, optionally under a random
-rotation).  `draw_rule_batch` writes them out under N(mean, L L^T), with L
-acting on each draw's directions; standard coordinates are its defaults.
+rotation).  `sample_rule` samples a draw's random radii and rotation, which
+no belief enters, and `draw_rule_batch` places them under N(mean, L L^T),
+with L acting on each draw's directions; standard coordinates are its
+defaults.
 Every point set stores probability-normalized weights: they sum to one, so
 constants are integrated exactly and no Gamma-function normalizers ever
 appear.
@@ -43,6 +45,8 @@ __all__ = [
     "simplex_vertices",
     "simplex_midpoints",
     "spherical_weights_deg5",
+    "RuleDraw",
+    "sample_rule",
     "draw_rule_batch",
     "points_per_draw",
     "reported_eval_count",
@@ -331,11 +335,103 @@ def _symmetric_rule(cols, sphere_w, radii, radial_w, mean, out, size):
     return points, weights
 
 
+class RuleDraw(NamedTuple):
+    """The random variates of ``size`` rule draws, sampled before any belief places them.
+
+    What `sample_rule` returns and `draw_rule_batch` places in place of a
+    stream.  ``kind`` and ``n`` are the rule and the dimension it was
+    sampled for.  ``radii`` (size, K) and ``radial_w`` (size, K + 1) are
+    sif3's chi radii or sif5's radial pairs with their `radial_weights`,
+    None where the layout fixes them; ``rotations`` (size, n, n) are the
+    Haar rotations, None for ckf3 and ckf5; ``normals`` (size, M, n) are
+    mc's standard-normal points, None for every other rule.  The draws of
+    several streams are stacked in stream order, and `draws` takes a run of
+    them, one stream's say, as views.
+    """
+
+    kind: SchemeKind
+    n: int
+    size: int
+    radii: np.ndarray | None = None
+    radial_w: np.ndarray | None = None
+    rotations: np.ndarray | None = None
+    normals: np.ndarray | None = None
+
+    def draws(self, start: int, stop: int) -> "RuleDraw":
+        """Draws ``start`` to ``stop - 1`` as a RuleDraw of views."""
+        rows = slice(start, stop)
+        arrays = (None if a is None else a[rows] for a in self[3:])
+        return RuleDraw(self.kind, self.n, stop - start, *arrays)
+
+
+def _check_batch(scheme: IntegrationScheme, n, size) -> tuple[int, int]:
+    """``n`` and ``size`` as ints, checked against the scheme."""
+    n, size = _integer("n", n), _integer("size", size)
+    scheme.validate_dim(n)
+    if size < 1:
+        raise ValueError("size must be >= 1")
+    return n, size
+
+
+def sample_rule(
+    scheme: IntegrationScheme,
+    n: int,
+    size: int,
+    streams: RngStream | Sequence[RngStream],
+) -> RuleDraw:
+    """Sample the random variates of ``size`` draws of a scheme per stream.
+
+    None of them depends on the belief a draw is placed under: sif3 samples
+    a chi radius, sif5 a radial pair, and both their `radial_weights`;
+    sif3, sif5 and qsif5 a Haar rotation; mc its standard-normal points;
+    ckf3 and ckf5 nothing.  Each stream consumes its variates in the order
+    a lone `draw_rule_batch` call with it does (radii and their redraws,
+    then the rotation), so sampling many streams at once leaves each one
+    where its own call would, and the draws equal its call's bit for bit.
+    The rotations of all streams come from one `haar_orthogonal_batch` and
+    the radial weights from one `radial_weights` call.
+
+    ``streams`` is one stream or a sequence of S streams; the result holds
+    S * size draws, ``size`` per stream in stream order.
+    """
+    n, size = _check_batch(scheme, n, size)
+    return _sample(scheme, n, size, as_streams(streams))
+
+
+def _sample(scheme: IntegrationScheme, n: int, size: int, streams: tuple) -> RuleDraw:
+    """`sample_rule` on checked counts and a tuple of streams."""
+    kind, total = scheme.kind, len(streams) * size
+    if kind is SchemeKind.MC:
+        normals = standard_normal_stack(streams, size, (scheme.mc_samples, n))
+        return RuleDraw(kind, n, total, normals=normals)
+    if kind.deterministic:
+        return RuleDraw(kind, n, total)
+    radii = radial_w = None
+    if kind is SchemeKind.SIF3:
+        radii = np.concatenate([sample_chi(n + 2, s, size=size) for s in streams])[:, None]
+    elif kind is SchemeKind.SIF5:
+        radii = np.concatenate([np.stack(_radial_pair_batch(n, size, s), 1) for s in streams])
+    if radii is not None:
+        radial_w = radial_weights(n, radii)
+    return RuleDraw(kind, n, total, radii, radial_w, haar_orthogonal_batch(n, size, streams))
+
+
+def _sampled_doubles(scheme: IntegrationScheme, n: int) -> int:
+    """The float64 values one draw of `sample_rule` holds in its `RuleDraw`."""
+    kind = scheme.kind
+    if kind is SchemeKind.MC:
+        return scheme.mc_samples * n
+    if kind.deterministic:
+        return 0
+    # the rotation, then sif3's radius and sif5's pair with their weights
+    return n * n + {SchemeKind.SIF3: 3, SchemeKind.SIF5: 5}.get(kind, 0)
+
+
 def draw_rule_batch(
     scheme: IntegrationScheme,
     n: int,
     size: int,
-    rng: RngStream | Sequence[RngStream],
+    rng: RngStream | Sequence[RngStream] | RuleDraw,
     *,
     mean: np.ndarray | None = None,
     root: np.ndarray | None = None,
@@ -343,19 +439,23 @@ def draw_rule_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``size`` independent realizations of a scheme's point set per stream.
 
-    The points are those of the rule under N(mean, root root^T).  Every rule
-    but mc is a centre plus +-r times a set of directions, so the square
-    root L = ``root`` acts on the directions of each draw, (L Q)^T being
-    formed once per draw, and the centre mean and the points mean +- r L Q d
-    are written directly; mc maps its points as mean + L c.  The defaults
+    A draw is sampled by `sample_rule` and placed here.  The points are
+    those of the rule under N(mean, root root^T).  Every rule but mc is a
+    centre plus +-r times a set of directions, so the square root L =
+    ``root`` acts on the directions of each draw, (L Q)^T being formed once
+    per draw, and the centre mean and the points mean +- r L Q d are
+    written directly; mc maps its points as mean + L c.  The defaults
     mean = 0 and root = I give the rule in standard-normal coordinates.
 
-    ``rng`` is one stream or a sequence of streams.  Each stream supplies
-    ``size`` draws, stacked in stream order, and consumes its variates in the
-    same order as a call with that stream alone (radii, redraws included,
-    then the rotation), so the result equals the concatenation of the
-    single-stream calls bit for bit.  The rotation and point assembly run
-    once over the whole stack.
+    ``rng`` is one stream, a sequence of streams, or a `RuleDraw` of
+    ``size`` draws that `sample_rule` sampled ahead for this scheme and n
+    (one stream's share of a larger sample, say), which is placed without
+    drawing anything.  Each stream supplies ``size`` draws, stacked in
+    stream order, and consumes its variates in the same order as a call
+    with that stream alone (radii, redraws included, then the rotation), so
+    the result equals the concatenation of the single-stream calls bit for
+    bit, and a call given a stream's `RuleDraw` equals the call given the
+    stream.  The rotation and point assembly run once over the whole stack.
 
     ``out``, when given, is the float64 (len(streams) * size * P, n) array
     the points are written into, in any memory layout (a column slice of a
@@ -377,12 +477,19 @@ def draw_rule_batch(
     their weights, P) is built once per (kind, n); a draw samples only the
     random radii and rotation, and deterministic schemes draw nothing.
     """
-    scheme.validate_dim(n)
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    streams = as_streams(rng)
-    total = len(streams) * size
+    n, size = _check_batch(scheme, n, size)
     kind = scheme.kind
+    if isinstance(rng, RuleDraw):
+        m = None if rng.normals is None else rng.normals.shape[1]
+        if (rng.kind, rng.n, rng.size, m) != (kind, n, size, scheme.mc_samples):
+            raise ValueError(
+                f"a rule draw of {rng.size} {rng.kind.value} draws at n={rng.n} "
+                f"cannot place {size} {scheme.label} draws at n={n}"
+            )
+        total = size
+    else:
+        rng = as_streams(rng)
+        total = len(rng) * size
     mean = np.zeros(n) if mean is None else np.asarray(mean, dtype=np.float64)
     root = np.eye(n) if root is None else np.asarray(root, dtype=np.float64)
     if mean.shape != (n,):
@@ -394,25 +501,18 @@ def draw_rule_batch(
         out = np.empty((rows, n), order="F")
     elif out.dtype != np.float64 or out.shape != (rows, n):
         raise ValueError(f"out must be float64 of shape ({rows}, {n}), got {out.dtype} {out.shape}")
+    draw = rng if isinstance(rng, RuleDraw) else _sample(scheme, n, size, rng)
 
     if kind is SchemeKind.MC:
         m = scheme.mc_samples
-        c = standard_normal_stack(streams, size, (m, n))
         # the row-major product, as L c^T could round differently
-        np.add(c.reshape(-1, n) @ root.T, mean, out=out)
+        np.add(draw.normals.reshape(-1, n) @ root.T, mean, out=out)
         return out.reshape(total, m, n), np.full((total, m), 1.0 / m)
 
-    # every draw shares the fixed radii; sif3 and sif5 sample theirs, and the
-    # rotation is drawn after them
+    # every draw shares the fixed radii; sif3 and sif5 sampled theirs
     lay = _layout(kind, n)
-    radii, radial_w = lay.radii, lay.radial_w
-    if radii is None:
-        if kind is SchemeKind.SIF3:
-            radii = np.concatenate([sample_chi(n + 2, s, size=size) for s in streams])[:, None]
-        else:
-            radii = np.concatenate([np.stack(_radial_pair_batch(n, size, s), 1) for s in streams])
-        radial_w = radial_weights(n, radii)
-    lq = root if kind.deterministic else root @ haar_orthogonal_batch(n, size, streams)
+    radii, radial_w = (lay.radii, lay.radial_w) if draw.radii is None else (draw.radii, draw.radial_w)
+    lq = root if draw.rotations is None else root @ draw.rotations
     # the axes L Q e_i are the columns of L Q; other directions go as rows
     # times (L Q)^T, whose rounding the points keep
     cols = lq if kind.degree == 3 else np.swapaxes(lay.dirs @ np.swapaxes(lq, -1, -2), -1, -2)

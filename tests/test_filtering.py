@@ -516,6 +516,112 @@ class TestRunFilter:
             spd_sqrt(post.cov)  # conditioning keeps it factorizable
 
 
+ALL_LABELS = CUBATURE_LABELS + ["mc"]
+AHEAD_N = 4
+
+
+def _ahead_scheme(label):
+    return scheme(label, n_m={"sif3": 50, "sif5": 10, "qsif5": 10}.get(label, 1), mc=50)
+
+
+def _step_by_hand(ssm, sch, ys, belief, rng):
+    """Posteriors of stepping the three phases with the substreams, and the step and error that stopped it."""
+    posts = []
+    for k in range(len(ys)):
+        try:
+            pred = predict_state(belief, ssm, sch, rng.substream(k, 0))
+            obs = predict_observation(pred, ssm, sch, rng.substream(k, 1))
+            belief = correct(pred, obs, ys[k])
+        except (DivergenceError, IntegrandError) as err:
+            return posts, k, err
+        posts.append(belief)
+    return posts, None, None
+
+
+class TestSampledAhead:
+    """``run_filter`` samples the rule variates of a block of steps at once; the result is stepping by hand."""
+
+    @staticmethod
+    def _steps():
+        blocks = [filtering._block_steps(_ahead_scheme(label), AHEAD_N) for label in ALL_LABELS]
+        b = min(blocks)
+        return b, blocks, [1, 2 * b, 3 * b + 3]
+
+    def test_steps_cover_block_edges(self):
+        b, blocks, steps = self._steps()
+        assert 1 < b < max(blocks)
+        # one run stops at a block's end, one three blocks in and short of a multiple
+        assert steps[1] % b == 0 and steps[2] >= 3 * b
+        assert all(steps[2] % block for block in blocks)
+
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["one step", "two blocks", "three blocks and a part"])
+    @pytest.mark.parametrize("label", ALL_LABELS)
+    def test_equals_stepping_by_hand(self, label, which):
+        steps = self._steps()[2][which]
+        model = GrowthModel(q=2, n=AHEAD_N)
+        _, ys = simulate_trajectory(model, steps, RngStream(70).substream("trajectory"))
+        ssm, sch, init = model.state_space(), _ahead_scheme(label), model.init_belief()
+        posts = run_filter(ssm, sch, ys, init, RngStream(71, stream_id=label))
+        by_hand, failed_at, _ = _step_by_hand(ssm, sch, ys, init, RngStream(71, stream_id=label))
+        assert failed_at is None
+        _assert_same_posteriors(posts, by_hand)
+
+    @pytest.mark.parametrize("label", ALL_LABELS)
+    def test_integrand_failure_inside_a_block(self, label):
+        # h returns NaN on its eleventh call, the observation phase of step 10
+        fail_at = 10
+        model = GrowthModel(q=2, n=AHEAD_N)
+        _, ys = simulate_trajectory(model, 20, RngStream(72).substream("trajectory"))
+        ssm, sch, init = model.state_space(), _ahead_scheme(label), model.init_belief()
+        assert fail_at % filtering._block_steps(sch, AHEAD_N)
+
+        def failing_model():
+            calls = []
+
+            def h(x):
+                calls.append(None)
+                out = ssm.h.fn(x)
+                return np.full_like(out, np.nan) if len(calls) == fail_at + 1 else out
+
+            return StateSpaceModel(f=ssm.f, h=VectorFunction(h, vectorized=True), q=ssm.q, r=ssm.r)
+
+        _, k, by_hand = _step_by_hand(failing_model(), sch, ys, init, RngStream(73))
+        assert k == fail_at and isinstance(by_hand, IntegrandError)
+        with pytest.raises(DivergenceError) as err:
+            run_filter(failing_model(), sch, ys, init, RngStream(73))
+        assert err.value.step == fail_at
+        assert str(err.value) == f"filter diverged at step {fail_at}: integrand failure: {by_hand}"
+
+    def test_divergence_inside_a_block(self):
+        # the growth model at q = 8 loses ckf3's observation moments at step 12
+        model = GrowthModel(q=8, n=2)
+        _, ys = simulate_trajectory(model, 30, RngStream(3))
+        ssm, sch, init = model.state_space(), scheme("ckf3"), model.init_belief()
+        _, k, by_hand = _step_by_hand(ssm, sch, ys, init, RngStream(4))
+        assert isinstance(by_hand, DivergenceError) and 0 < k < filtering._block_steps(sch, 2)
+        with pytest.raises(DivergenceError) as err:
+            run_filter(ssm, sch, ys, init, RngStream(4))
+        assert err.value.step == k
+        assert str(err.value) == f"filter diverged at step {k}: {by_hand}"
+
+    def test_memory_does_not_grow_with_the_run(self):
+        # sif3 at n = 10 samples 50 rotations of 100 values per phase; a run
+        # that sampled all 200 steps ahead would hold 16 MB of them
+        import tracemalloc
+
+        def peak(steps):
+            args = _growth_run(10, "sif3", 50, steps=steps)
+            tracemalloc.start()
+            try:
+                run_filter(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak(20), peak(200)
+        assert long - short < 0.5 * 2**20, f"peak {short / 2**20:.2f} MB at 20 steps, {long / 2**20:.2f} MB at 200"
+
+
 class TestLinearGaussianConsistency:
     """NEES and NIS of a polynomial-exact filter on a linear-Gaussian model.
 

@@ -56,6 +56,19 @@ class TestCovarianceGuard:
             assert np.array_equal(out, out.T)
             np.testing.assert_array_equal(out, 0.5 * (a + a.T))
 
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("a,message", [
+        # a - a^T overflows, the halves' difference does not
+        (np.array([[0.0, 1.7e308], [-1.7e308, 0.0]]), "is not symmetric"),
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), "contains NaN or Inf entries"),
+        (np.array([[1.0, np.inf], [np.inf, 1.0]]), "contains NaN or Inf entries"),
+    ], ids=["overflowing asymmetry", "inf on the diagonal", "symmetric infs"])
+    def test_rejects_without_a_numpy_warning(self, entry, a, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                ENTRY_POINTS[entry](a)
+
     def test_returns_float64_and_rejects_empty(self):
         assert checked_covariance([[1, 0], [0, 1]], "P").dtype == np.float64
         with pytest.raises(ValueError, match="non-empty square"):
@@ -164,3 +177,14 @@ class TestHaarOrthogonal:
     def test_degenerate_dimension_rejected(self):
         with pytest.raises(ValueError):
             haar_orthogonal_batch(0, 1, RngStream(0))
+
+    @pytest.mark.parametrize("n,size,name", [
+        (3, True, "size"), (3, 2.0, "size"), (True, 2, "n"), (3.0, 2, "n"),
+    ])
+    def test_non_integer_counts_rejected(self, n, size, name):
+        with pytest.raises(TypeError, match=f"{name} must be an int"):
+            haar_orthogonal_batch(n, size, RngStream(0))
+
+    def test_numpy_integer_counts_accepted(self):
+        np.testing.assert_array_equal(haar_orthogonal_batch(np.int64(3), np.int32(2), RngStream(6)),
+                                      haar_orthogonal_batch(3, 2, RngStream(6)))

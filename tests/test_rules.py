@@ -8,12 +8,14 @@ from srcf import rules
 from srcf.rng import RngStream
 from srcf.rules import (
     IntegrationScheme,
+    RuleDraw,
     SchemeKind,
     draw_rule_batch,
     gaussian_monomial_moment,
     points_per_draw,
     radial_weights,
     reported_eval_count,
+    sample_rule,
     simplex_midpoints,
     simplex_vertices,
     spherical_weights_deg5,
@@ -244,6 +246,20 @@ class TestSchemeType:
         with pytest.raises(ValueError):
             IntegrationScheme.from_label("ukf")
 
+    @pytest.mark.parametrize("n,size,name", [
+        (3, 2.0, "size"), (3, True, "size"), (True, 2, "n"), (3.0, 2, "n"),
+    ], ids=["size-float", "size-bool", "n-bool", "n-float"])
+    def test_draw_rejects_non_integer_counts(self, n, size, name):
+        with pytest.raises(TypeError, match=f"^{name} must be an int, got "):
+            draw_rule_batch(scheme("sif5"), n, size, RngStream(0))
+
+    @pytest.mark.parametrize("n,size,name", [
+        (3, 2.0, "size"), (3, True, "size"), (True, 2, "n"), (3.0, 2, "n"),
+    ], ids=["size-float", "size-bool", "n-bool", "n-float"])
+    def test_sample_rejects_non_integer_counts(self, n, size, name):
+        with pytest.raises(TypeError, match=f"^{name} must be an int, got "):
+            sample_rule(scheme("sif5"), n, size, RngStream(0))
+
     def test_degree5_rejects_dimension_one(self):
         for label in ("ckf5", "sif5", "qsif5"):
             with pytest.raises(ValueError):
@@ -443,6 +459,58 @@ class TestStreamSequence:
             rows = slice(block * size, (block + 1) * size)
             assert not np.array_equal(plain[rows], redrawn[rows])
         self.assert_equals_single_calls("sif5", n, size, make_streams)
+
+    @staticmethod
+    def assert_placed_draws_equal_stream_calls(sch, n, size, make_streams, **affine):
+        streams, lone = make_streams(), make_streams()
+        sampled = sample_rule(sch, n, size, streams)
+        assert sampled.size == len(streams) * size
+        for i, stream in enumerate(lone):
+            own = sampled.draws(i * size, (i + 1) * size)
+            got = draw_rule_batch(sch, n, size, own, **affine)
+            want = draw_rule_batch(sch, n, size, stream, **affine)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+        # sampling ahead leaves every stream where its own call leaves it
+        for a, b in zip(streams, lone):
+            np.testing.assert_array_equal(a.generator.standard_normal(2), b.generator.standard_normal(2))
+
+    @pytest.mark.parametrize("n", [2, 6, 10])
+    @pytest.mark.parametrize("label", ALL_LABELS)
+    def test_placed_rule_draws_equal_the_stream_calls(self, label, n):
+        gen = np.random.default_rng(n)
+        a = gen.standard_normal((n, n))
+        root = np.linalg.cholesky(a @ a.T + np.eye(n))
+        for affine in ({}, {"mean": gen.standard_normal(n), "root": root}):
+            self.assert_placed_draws_equal_stream_calls(
+                scheme(label, mc=30), n, 3, lambda: [RngStream(60).substream(label, n, i) for i in range(5)],
+                **affine,
+            )
+
+    def test_placed_sif5_radial_redraws_equal_the_stream_calls(self, monkeypatch):
+        monkeypatch.setattr(samplers, "_DEGENERATE_TOL", 1.5)
+        self.assert_placed_draws_equal_stream_calls(
+            scheme("sif5"), 6, 4, lambda: [RngStream(52).substream(i) for i in range(6)]
+        )
+
+    @pytest.mark.parametrize("label", ALL_LABELS)
+    def test_rule_draw_holds_one_row_per_draw(self, label):
+        draw = sample_rule(scheme(label, mc=30), 4, 2, [RngStream(61), RngStream(62)])
+        assert isinstance(draw, RuleDraw) and (draw.kind.value, draw.n, draw.size) == (label, 4, 4)
+        held = [a for a in draw[3:] if a is not None]
+        assert all(a.shape[0] == 4 for a in held)
+        assert bool(held) == (label not in ("ckf3", "ckf5"))
+
+    @pytest.mark.parametrize("label,n,size,mc", [
+        ("sif3", 4, 2, None), ("sif5", 5, 2, None), ("sif5", 4, 3, None), ("mc", 4, 2, 31),
+    ], ids=["other-kind", "other-n", "other-size", "other-mc-samples"])
+    def test_mismatched_rule_draw_rejected(self, label, n, size, mc):
+        sampled = {
+            "sif5": sample_rule(scheme("sif5"), 4, 2, RngStream(63)),
+            "mc": sample_rule(scheme("mc", mc=30), 4, 2, RngStream(63)),
+        }["mc" if label == "mc" else "sif5"]
+        with pytest.raises(ValueError, match="cannot place"):
+            draw_rule_batch(scheme(label, mc=mc), n, size, sampled)
 
     def test_one_element_sequence_equals_the_stream(self):
         a = draw_rule_batch(scheme("qsif5"), 4, 2, RngStream(53))
