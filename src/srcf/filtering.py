@@ -66,10 +66,10 @@ class StateSpaceModel:
 
     The points passed to ``f`` and ``h`` (the (P, n) stack of a vectorized
     function, or each (n,) row of it for a plain callable) are column-major,
-    so each coordinate of all points is contiguous.  The phase writes over
-    them once the function returns (the weighted copy in the state
-    prediction, the centring of [x, h(x)] in the observation prediction),
-    so a function that keeps them must keep a copy.  Returning them, or any
+    so each coordinate of all points is contiguous.  The state prediction
+    writes its weighted copy of f(x) - mean over them once ``f`` returns, so
+    an ``f`` that keeps them must keep a copy; the observation prediction
+    leaves the points ``h`` received as they were.  Returning them, or any
     array computed from them in any layout, is fine.
     """
 
@@ -134,32 +134,24 @@ def _phase(
 
 
 def _centred_moments(
-    vals: np.ndarray, k: int, x: np.ndarray, w: np.ndarray, dev: np.ndarray, wdev: np.ndarray
+    vals: np.ndarray, x: np.ndarray, w: np.ndarray, dev: np.ndarray, wdev: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted mean of the columns of ``vals`` and their centred cross-moment with the trailing k.
+    """Weighted mean of the columns of ``vals`` and their symmetrized centred Gram matrix.
 
-    Returns the mean and the (c, k) matrix sum_p w_p (v_p - mean)(t_p -
-    mean_t)^T, with c the column count of ``vals`` and t_p the trailing k
-    entries of row p, whose trailing (k, k) block is symmetrized.  With k =
-    c it is the centred Gram matrix; with k < c it costs O(P c k) instead of
-    O(P c^2).  With weights summing to one this equals E[v t^T] - mean
-    mean_t^T, but does not cancel two large numbers when the mean dwarfs the
-    spread.
-
-    The trailing k columns hold the integrand's values at the points ``x``:
-    a non-finite mean of them is traced to its point by `_check_integrand`
-    before anything is overwritten.  The deviations go to ``dev`` (which may
-    be ``vals`` itself) and the weighted copy of their trailing k columns to
-    the (P, k) ``wdev``, which may hold ``x``.  With column-major arrays
-    every pass runs along one contiguous column.
+    ``vals`` holds the integrand's values at the points ``x``, one row per
+    point: a non-finite mean is traced to its point by `_check_integrand`
+    before anything is written.  The deviations v_p - mean go to ``dev`` and
+    their weighted copy w_p (v_p - mean) to ``wdev``, both of the shape of
+    ``vals``; the Gram matrix is sum_p w_p (v_p - mean)(v_p - mean)^T.  With
+    weights summing to one this equals E[v v^T] - mean mean^T, but does not
+    cancel two large numbers when the mean dwarfs the spread.  With
+    column-major arrays every pass runs along one contiguous column.
     """
     mean = w @ vals
-    _check_integrand(mean[-k:], vals[:, -k:], x)
+    _check_integrand(mean, vals, x)
     np.subtract(vals, mean, out=dev)
-    np.multiply(dev[:, -k:], w[:, None], out=wdev)
-    cross = wdev.T @ dev
-    cross[:, -k:] = symmetrize(cross[:, -k:])
-    return mean, cross.T
+    np.multiply(dev, w[:, None], out=wdev)
+    return mean, symmetrize(wdev.T @ dev)
 
 
 def _belief(step: str, mean: np.ndarray, cov: np.ndarray) -> GaussianBelief:
@@ -211,7 +203,7 @@ def predict_state(
     # buffer: [points | f(x) - mean], the weighted copy written over the points
     with _phase(prior, model, scheme, rng, "prior", 2 * n) as (buf, x, w, _):
         fx = _model_values(model.f, x, n, "transition function")
-        mean, cov = _centred_moments(fx, n, x, w, buf[:, n:], buf[:, :n])
+        mean, cov = _centred_moments(fx, x, w, buf[:, n:], buf[:, :n])
         return _belief("state prediction", mean, cov + model.q)
 
 
@@ -226,15 +218,17 @@ def predict_observation(
     ``rng`` is the phase's stream, or its `RuleDraw` sampled ahead, as for
     `predict_state`.
 
-    h is evaluated once on the sigma points x, and the centred weighted
-    cross-moment of the stacked points [x, h(x)] with h(x) gives Pxy and
-    Pyy - R at once: y_hat = E[h], Pxy = E[(x - x_bar)(h - y_hat)^T] with
-    x_bar the drawn mean of x, Pyy = E[(h - y_hat)(h - y_hat)^T] + R.  That
-    is O(P (n + m) m) work for P points, against O(P (n + m)^2) for the
-    whole (n + m) x (n + m) Gram matrix, whose state block no output needs.
-    Pxy does not depend on where x is centred, because sum_p w_p (h_p -
-    y_hat) = 0: centring at x_bar, or at the predicted mean, changes it only
-    by rounding, and x_bar keeps the sum well conditioned.
+    h is evaluated once on the sigma points x, and only its m value
+    columns are centred: `_centred_moments` gives y_hat = E[h] and Pyy - R
+    = E[(h - y_hat)(h - y_hat)^T] together with the weighted deviations
+    wdev_p = w_p (h_p - y_hat).  Because sum_p wdev_p = 0, Pxy = E[(x -
+    mu)(h - y_hat)^T] = x^T wdev - mu (sum_p wdev_p)^T, with mu the
+    predicted mean: the second term removes mu times the rounding residue
+    of that sum, and the points are read, never written.  Its rounding
+    grows with |mu| over the spread, as that of the points x = mu + L c
+    themselves does.  That is O(P n m) work for Pxy and O(P m^2) for Pyy,
+    against O(P (n + m)^2) for the whole (n + m) x (n + m) Gram matrix,
+    whose state block no output needs.
 
     For a draw with a negative weight, the joint [[L L^T, Pxy], [Pxy^T, Pyy
     - R]] is checked by `_observation_estimate_usable`, L being the square
@@ -248,13 +242,13 @@ def predict_observation(
     """
     n, m = model.n, model.m
     with _phase(pred, model, scheme, rng, "belief", n + 2 * m) as (buf, x, w, root):
-        # buffer: [x | h(x) | weighted copy of h(x) - y_hat], [x, h(x)] centred in place
-        xh = buf[:, : n + m]
-        xh[:, n:] = _model_values(model.h, x, m, "observation function")
-        mean, cross = _centred_moments(xh, m, x, w, xh, buf[:, n + m :])
-        if not (np.isfinite(mean).all() and np.isfinite(cross).all()):
+        # buffer: [x | h(x) - y_hat | weighted copy of h(x) - y_hat]
+        hx = _model_values(model.h, x, m, "observation function")
+        dev, wdev = buf[:, n : n + m], buf[:, n + m :]
+        y_hat, pyy = _centred_moments(hx, x, w, dev, wdev)
+        pxy = x.T @ wdev - pred.mean[:, None] * wdev.sum(axis=0)
+        if not (np.isfinite(pxy).all() and np.isfinite(pyy).all()):
             raise DivergenceError("observation prediction produced non-finite moments")
-        pxy, pyy = cross[:n], cross[n:]
         if np.any(w < 0):
             joint = np.empty((n + m, n + m))
             joint[:n, :n] = root @ root.T
@@ -263,7 +257,7 @@ def predict_observation(
             joint[n:, n:] = pyy
             if not _observation_estimate_usable(joint):
                 pxy = np.zeros((n, m))
-        return PredictedObservation(y_hat=mean[n:], pxy=pxy, pyy=pyy + model.r)
+        return PredictedObservation(y_hat=y_hat, pxy=pxy, pyy=pyy + model.r)
 
 
 def correct(
@@ -340,7 +334,8 @@ def run_filter(
     their substreams (radii, rotations, mc's normals), are sampled in one
     call before the block runs, and each phase places its share under its
     belief.  A block holds at most `_BLOCK_DOUBLES` sampled values, and at
-    least one step.  Each stream's variates are those its phase would draw
+    least one step.  ckf3 and ckf5 sample nothing, so they derive no
+    substream.  Each stream's variates are those its phase would draw
     itself, so the posteriors equal stepping `predict_state`,
     `predict_observation` and `correct` with the substreams bit for bit.
     """
@@ -356,7 +351,10 @@ def run_filter(
     for k in range(steps):
         if k % block == 0:
             ahead = range(k, min(k + block, steps))
-            draws = sample_rule(scheme, n, n_m, [rng.substream(i, j) for i in ahead for j in (0, 1)])
+            if _sampled_doubles(scheme, n):
+                draws = sample_rule(scheme, n, n_m, [rng.substream(i, j) for i in ahead for j in (0, 1)])
+            else:
+                draws = RuleDraw(scheme.kind, n, 2 * n_m * len(ahead))
         first = 2 * n_m * (k % block)
         try:
             pred = predict_state(belief, model, scheme, draws.draws(first, first + n_m))

@@ -604,6 +604,21 @@ class TestSampledAhead:
         assert err.value.step == k
         assert str(err.value) == f"filter diverged at step {k}: {by_hand}"
 
+    @pytest.mark.parametrize("label", ["ckf3", "ckf5"])
+    def test_rules_that_sample_nothing_derive_no_substreams(self, monkeypatch, label):
+        # ckf3 and ckf5 draw no variates, so their phases need no substream
+        ssm, sch, ys, init, rng = _growth_run(AHEAD_N, label, 1, steps=10)
+        calls = []
+        substream = RngStream.substream
+
+        def counted(self, *ids):
+            calls.append(ids)
+            return substream(self, *ids)
+
+        monkeypatch.setattr(RngStream, "substream", counted)
+        run_filter(ssm, sch, ys, init, rng)
+        assert calls == []
+
     def test_memory_does_not_grow_with_the_run(self):
         # sif3 at n = 10 samples 50 rotations of 100 values per phase; a run
         # that sampled all 200 steps ahead would hold 16 MB of them
@@ -712,11 +727,13 @@ class TestMomentOverflow:
 
 
 class TestCentredMoments:
+    @pytest.mark.parametrize("n", [3, 10])
     @pytest.mark.parametrize("label", CUBATURE_LABELS)
-    def test_large_mean_offset_keeps_moments(self, label):
+    def test_large_mean_offset_keeps_moments(self, label, n):
         # f(x) = x + c and h(x) = c + x_0 at N(c 1, I): a raw E[v v^T] - mean mean^T
-        # loses the unit spread to cancellation against c^2 = 1e12
-        n, c = 3, 1e6
+        # loses the unit spread to cancellation against c^2 = 1e12; at n = 10
+        # ckf5, sif5 and qsif5 carry negative weights
+        c = 1e6
         model = StateSpaceModel(
             f=VectorFunction(lambda x: x + c, vectorized=True),
             h=VectorFunction(lambda x: c + x[:, 0], vectorized=True),
@@ -774,9 +791,10 @@ class TestFallbackPolicy:
         sch = scheme("ckf5")
         obs = predict_observation(belief, model, sch, RngStream(0))
         x, w = sigma_points(belief, sch, RngStream(0))
-        xh = np.asfortranarray(np.hstack([x, model.h.fn(x)[:, None]]))
-        _, cross = filtering._centred_moments(xh, 1, x, w, np.empty_like(xh), np.empty((len(x), 1)))
-        raw_pxy, raw_pyy = cross[:n], cross[n:]
+        hx = model.h.fn(x)[:, None]
+        wdev = np.empty_like(hx, order="F")
+        _, raw_pyy = filtering._centred_moments(hx, x, w, np.empty_like(hx), wdev)
+        raw_pxy = x.T @ wdev - belief.mean[:, None] * wdev.sum(axis=0)
         if n == 10:
             assert raw_pyy[0, 0] < 0
             assert not np.any(obs.pxy)
@@ -972,6 +990,22 @@ class TestPhaseScratch:
                             rng.substream(2, 1))
         for arr, copy in zip(kept, copies):
             np.testing.assert_array_equal(arr, copy)
+
+    @pytest.mark.parametrize("label", ["ckf3", "sif5", "mc"])
+    def test_observation_phase_leaves_the_points_unwritten(self, label):
+        # only the state prediction writes over the stack its function received
+        ssm, sch, _, init, rng = _growth_run(6, label, 1 if label in ("ckf3", "mc") else 3)
+        received = []
+
+        def h(x):
+            received.append((x, x.copy()))
+            return ssm.h.fn(x)
+
+        model = StateSpaceModel(f=ssm.f, h=VectorFunction(h, vectorized=True), q=ssm.q, r=ssm.r)
+        obs = predict_observation(init, model, sch, rng.substream(0, 1))
+        assert np.any(obs.pxy)
+        [(stack, copy)] = received
+        np.testing.assert_array_equal(stack, copy)
 
     def test_phases_keep_no_array_alive(self):
         # once a step is done, no array that held its points is kept anywhere
